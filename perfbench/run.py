@@ -18,6 +18,7 @@ or a malformed result line.
 import argparse
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -63,10 +64,14 @@ def run(cmd):
     try:
         out, _ = proc.communicate(timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait()
         log("the benchmark exceeded %d s and was stopped" % RUN_TIMEOUT_S)
         return 1, ""
+    finally:
+        # Also on SIGTERM/SIGINT (raised as exceptions, see main): never
+        # leave the benchmark running behind this script.
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
     sys.stdout.write(out)
     sys.stdout.flush()
     return proc.returncode, out
@@ -83,7 +88,12 @@ def valid_result(line):
                 for m in res["metrics"].values()))
 
 
+def stop(signum, _frame):
+    raise SystemExit(128 + signum)
+
+
 def main():
+    signal.signal(signal.SIGTERM, stop)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)

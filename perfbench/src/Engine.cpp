@@ -337,7 +337,10 @@ void perfbench::streamPass(const Env &E, const std::vector<Operand> &Ops,
     if (Own)
       CountCache(*Own);
   }
-  St.PassGflops.push_back(PassFlops / secondsSince(PassStart) * 1e-9);
+  const double PassSeconds = secondsSince(PassStart);
+  St.PassGflops.push_back(PassFlops / PassSeconds * 1e-9);
+  St.Flops += PassFlops;
+  St.Seconds += PassSeconds;
   if (Shared)
     CountCache(*Shared);
 }

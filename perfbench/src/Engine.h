@@ -149,6 +149,8 @@ struct StreamStats {
   std::uint64_t Calls = 0, BootstrapCalls = 0;
   /// Flops of all calls / wall time, one value per pass.
   std::vector<double> PassGflops;
+  /// Flops of all calls and wall seconds of all passes together.
+  double Flops = 0.0, Seconds = 0.0;
   std::uint64_t CacheHits = 0, CacheMisses = 0;
   std::uint64_t Submissions = 0, Repeats = 0;
 };

@@ -49,15 +49,12 @@ struct Args {
 };
 
 /// Cold tunes per run at least (over the operand set, at least the setup's
-/// tunes plus one round), so each operand's median rests on several tunes.
-constexpr std::size_t MinTuneSamples = 100;
+/// tunes plus one round), so each operand's fastest tune is one of several.
+constexpr std::size_t MinTuneSamples = 80;
 /// Setup repetitions per untraced run; setup_s is their median.
 constexpr int SetupReps = 3;
 /// Apply calls per stream handle at least, after the crossover.
 constexpr int StreamMinCalls = 20;
-/// Stream passes per run; the stream percentiles use each position's
-/// fastest pass, served_gflops the best pass.
-constexpr int StreamPasses = 5;
 /// Steady-state timing rounds per pass; they are taken at checkpoints
 /// spread over the pass (after each setup repetition, tune round, solve
 /// sample and stream pass) until this many have run.
@@ -133,44 +130,65 @@ struct PhasePlan {
   double TuneBudget = 0.0;   ///< Cold-tune rounds (at least MinTuneSamples).
   int MinSolves = 5;         ///< solve_s samples at least...
   double SolveBudget = 0.0;  ///< ...and until this much time has passed.
+  /// Stream passes: enough that the pooled first_call_ms samples put at
+  /// least ten beyond p90.
+  int StreamPasses = 5;
   /// A TuningService per stream handle instead of one per pass.
   bool ServicePerHandle = false;
 };
 
-/// The measured phases after setup, shared by every workload: cold-tune
-/// rounds, solve_s samples (\p Solve returns one), and stream passes. A
-/// steady-state round follows each unit of work until SteadyRounds have
-/// run, so the fastest samples come from the whole run rather than from
-/// one stretch of it.
+/// One steady-state round, until SteadyRounds have run. Called after each
+/// unit of work, so the fastest samples come from the whole run.
 void steadyCheckpoint(SteadyTimer &Steady) {
   if (Steady.rounds() < SteadyRounds)
     Steady.round();
 }
 
+/// The measured phases after setup, shared by every workload: cold-tune
+/// rounds, solve_s samples (\p Solve returns one) and stream passes, taken
+/// in turn until each has its count and time budget, then steady-state
+/// rounds up to SteadyRounds. The host's load drifts from one half minute
+/// to the next, so every figure draws its samples from the whole run
+/// rather than from one stretch of it.
 void measurePhases(const Env &E, const std::vector<Operand> &Ops,
                    const std::vector<Operand> &StreamOps, SteadyTimer &Steady,
                    const PhasePlan &Plan, const std::function<double()> &Solve,
                    std::uint64_t Seed, PassResult &R) {
-  Clock::time_point Start = Clock::now();
-  while (R.Tunes.WallS.size() < MinTuneSamples ||
-         secondsSince(Start) < Plan.TuneBudget) {
-    coldTuneRound(E, Ops, R.Tunes);
-    steadyCheckpoint(Steady);
-  }
-  Start = Clock::now();
-  while (static_cast<int>(R.SolveS.size()) < Plan.MinSolves ||
-         secondsSince(Start) < Plan.SolveBudget) {
-    R.SolveS.push_back(Solve());
-    steadyCheckpoint(Steady);
-  }
   std::vector<Reference> StreamRefs = makeReferences(StreamOps, Seed ^ 0x5);
-  for (int Pass = 0; Pass < StreamPasses; ++Pass) {
-    streamPass(E, StreamOps, StreamRefs, StreamMinCalls,
-               Plan.ServicePerHandle, R.Stream);
+  double TuneS = 0.0, SolveS = 0.0, StreamS = 0.0;
+  for (int Pass = 0;;) {
+    const bool Tunes = R.Tunes.WallS.size() < MinTuneSamples ||
+                       TuneS < Plan.TuneBudget;
+    const bool Solves = static_cast<int>(R.SolveS.size()) < Plan.MinSolves ||
+                        SolveS < Plan.SolveBudget;
+    const bool Stream = Pass < Plan.StreamPasses;
+    if (!Tunes && !Solves && !Stream)
+      break;
+    Clock::time_point Start = Clock::now();
+    if (Tunes) {
+      coldTuneRound(E, Ops, R.Tunes);
+      TuneS += secondsSince(Start);
+      Start = Clock::now();
+    }
+    if (Solves) {
+      R.SolveS.push_back(Solve());
+      SolveS += secondsSince(Start);
+      Start = Clock::now();
+    }
+    if (Stream) {
+      streamPass(E, StreamOps, StreamRefs, StreamMinCalls,
+                 Plan.ServicePerHandle, R.Stream);
+      StreamS += secondsSince(Start);
+      ++Pass;
+    }
     steadyCheckpoint(Steady);
   }
+  Clock::time_point Start = Clock::now();
   while (Steady.rounds() < SteadyRounds)
     steadyCheckpoint(Steady);
+  std::printf("phases: tunes %.2f s, solves %.2f s, stream %.2f s, "
+              "remaining steady rounds %.2f s\n",
+              TuneS, SolveS, StreamS, secondsSince(Start));
   R.SteadyState = Steady.result();
   for (const Operand &Op : Ops)
     R.Nnz.push_back(Op.A.nnz());
@@ -388,10 +406,27 @@ double setBreakevenCalls(const PassResult &R) {
   return Gain > 0.0 ? Tune / Gain : std::numeric_limits<double>::infinity();
 }
 
-/// One value per stream position: the fastest of its passes. A handle's
-/// latency is the same job in every pass; the slower passes are the ones in
-/// which the caller, another process or a noise-triggered re-measurement
-/// inside the tune delayed it. The percentiles then run over positions.
+/// Every sample of every stream position, from every pass: the
+/// first_call_ms population. A first call is short work racing the worker's
+/// start, so a position's fastest pass is a tail event: over runs of the
+/// same code amg_pcg's first_call_ms.p50 spread by 24-45% of its median
+/// with each position's fastest pass and by 3-6% pooled. Pooled p90 also
+/// has more than ten samples beyond it on every workload.
+std::vector<double>
+pooled(const std::vector<std::vector<double>> &ByPosition) {
+  std::vector<double> Out;
+  for (const std::vector<double> &Samples : ByPosition)
+    Out.insert(Out.end(), Samples.begin(), Samples.end());
+  return Out;
+}
+
+/// One value per stream position, the fastest of its passes: the
+/// crossover_ms population. A crossover is a whole tune, and
+/// noise-triggered re-measurements inside it make some positions' passes
+/// bimodal (amg_pcg's p50 position takes 3.8 ms clean and 7-45 ms
+/// re-measured, in proportions that change from run to run). A median or
+/// pooled percentile then flips between the modes, by up to 60% between
+/// runs of the same code; the fastest pass does not.
 std::vector<double>
 positionMinima(const std::vector<std::vector<double>> &ByPosition) {
   std::vector<double> Out;
@@ -415,17 +450,15 @@ MetricSet endToEnd(const PassResult &R) {
   M.set("spmv_gflops.geomean", geomean(G1), "GFLOPS");
   M.set("spmm8_gflops.geomean", geomean(G8), "GFLOPS");
   M.set("breakeven_calls.p50", setBreakevenCalls(R), "calls");
-  M.set("solve_s", *std::min_element(R.SolveS.begin(), R.SolveS.end()), "s");
+  M.set("solve_s", median(R.SolveS), "s");
   const StreamStats &St = R.Stream;
-  const std::vector<double> FirstCall = positionMinima(St.FirstCallMs);
+  const std::vector<double> FirstCall = pooled(St.FirstCallMs);
   const std::vector<double> Crossover = positionMinima(St.CrossoverMs);
   M.set("first_call_ms.p50", percentile(FirstCall, 0.5), "ms");
   M.set("first_call_ms.p90", percentile(FirstCall, 0.9), "ms");
   M.set("crossover_ms.p50", percentile(Crossover, 0.5), "ms");
   M.set("crossover_ms.p90", percentile(Crossover, 0.9), "ms");
-  M.set("served_gflops",
-        *std::max_element(St.PassGflops.begin(), St.PassGflops.end()),
-        "GFLOPS");
+  M.set("served_gflops", St.Flops / St.Seconds * 1e-9, "GFLOPS");
   return M;
 }
 
@@ -440,10 +473,10 @@ void printSampleCounts(const PassResult &R) {
   std::printf("  (tune_ms percentiles run over operands, each the fastest "
               "of its cold tunes; %zu tunes in all)\n",
               R.Tunes.WallS.size());
-  Line("first_call_ms", positionMinima(R.Stream.FirstCallMs).size());
+  Line("first_call_ms", pooled(R.Stream.FirstCallMs).size());
   Line("crossover_ms", positionMinima(R.Stream.CrossoverMs).size());
-  std::printf("  (stream percentiles run over positions, each the fastest "
-              "of %d passes)\n"
+  std::printf("  (first_call_ms percentiles run over every submission of %d "
+              "passes, crossover_ms over positions, each its fastest pass)\n"
               "  setup_s reps=%zu  solve_s reps=%zu  operands=%zu  stream "
               "submissions=%llu (repeats %llu) calls=%llu\n",
               R.Stream.Passes, R.SetupS.size(), R.SolveS.size(),
@@ -451,6 +484,16 @@ void printSampleCounts(const PassResult &R) {
               static_cast<unsigned long long>(R.Stream.Submissions),
               static_cast<unsigned long long>(R.Stream.Repeats),
               static_cast<unsigned long long>(R.Stream.Calls));
+  auto Row = [](const char *Name, const std::vector<double> &Xs) {
+    std::printf("  %-14s", Name);
+    for (double X : Xs)
+      std::printf(" %.4g", X);
+    std::printf("\n");
+  };
+  std::printf("samples in run order:\n");
+  Row("setup_s", R.SetupS);
+  Row("solve_s", R.SolveS);
+  Row("pass_gflops", R.Stream.PassGflops);
 }
 
 /// \p StreamOps index -> \p Ops index. The stream is either the operand
@@ -514,6 +557,28 @@ void printOperands(const std::vector<Operand> &Ops, const HostInfo &H) {
                 Bytes > H.L2AggregateBytes() ? "  > L2 aggregate" : "",
                 Bytes > H.LlcBytes ? "  > LLC" : "");
   }
+}
+
+/// One CSV line per stream submission: position, operand, pass and both
+/// latencies, so other statistics can be computed from a run afterwards.
+void writeStreamCsv(const std::string &Path, const PassResult &R,
+                    const std::vector<Operand> &StreamOps) {
+  std::FILE *Csv = std::fopen(Path.c_str(), "w");
+  if (!Csv) {
+    std::fprintf(stderr, "perfbench: cannot write %s\n", Path.c_str());
+    return;
+  }
+  std::fprintf(Csv, "position,operand,pass,first_call_ms,crossover_ms\n");
+  const StreamStats &St = R.Stream;
+  auto At = [](const std::vector<double> &V, std::size_t P) {
+    return P < V.size() ? V[P] : NAN; // A failed submission has no sample.
+  };
+  for (std::size_t K = 0; K != St.CrossoverMs.size(); ++K)
+    for (std::size_t P = 0; P != static_cast<std::size_t>(St.Passes); ++P)
+      std::fprintf(Csv, "%zu,%s,%zu,%.6g,%.6g\n", K,
+                   StreamOps[K].Name.c_str(), P, At(St.FirstCallMs[K], P),
+                   At(St.CrossoverMs[K], P));
+  std::fclose(Csv);
 }
 
 void printMetrics(const char *Title, const MetricSet &M) {
@@ -617,15 +682,21 @@ int main(int Argc, char **Argv) {
 
   const bool IsAmg = A.Workload == "amg_pcg";
   std::vector<Operand> HierOps;
-  auto RunPass = [&](int Reps, double Seconds, PassResult &R) {
+  // The traced run makes two passes of half the length each.
+  auto RunPass = [&](int Reps, double Seconds, bool Half, PassResult &R) {
     PhasePlan Plan;
     Plan.TuneBudget = 0.3 * Seconds;
     if (IsAmg) {
       Plan.TuneBudget = 0.2 * Seconds;
       Plan.MinSolves = 3;
       Plan.SolveBudget = 0.4 * Seconds;
+      Plan.StreamPasses = Half ? 4 : 8; // 19 operators: 152 submissions.
       return amgPass(A, E, Lap, Rhs, Reps, Plan, HierOps, R);
     }
+    if (A.Workload == "fig8_large")
+      Plan.StreamPasses = Half ? 4 : 7; // 16 matrices: 112 submissions.
+    else
+      Plan.StreamPasses = Half ? 3 : 5;
     // fig8_large's matrices are distinct, but some share a bucketed plan
     // fingerprint; with one service per pass their crossovers would depend
     // on the seeded order (whichever comes first tunes, the rest hit).
@@ -636,7 +707,7 @@ int main(int Argc, char **Argv) {
   MetricSet Out;
   if (!A.Trace) {
     PassResult R;
-    if (!RunPass(SetupReps, A.Seconds, R)) {
+    if (!RunPass(SetupReps, A.Seconds, false, R)) {
       std::fprintf(stderr, "perfbench: setup failed\n");
       return 1;
     }
@@ -646,6 +717,10 @@ int main(int Argc, char **Argv) {
     else
       printOperandResults(R, Ops, StreamOps);
     printSampleCounts(R);
+    std::filesystem::create_directories(A.OutDir);
+    writeStreamCsv(A.OutDir + "/" + A.Workload + "-seed" +
+                       std::to_string(A.Seed) + "-stream.csv",
+                   R, IsAmg ? HierOps : StreamOps);
     if (IsAmg)
       std::printf("  amg: iterations=%d (FixedCsr %d), FixedCsr setup "
                   "%.3f s, FixedCsr solve %.3f s, tolerance %.0e\n",
@@ -654,10 +729,10 @@ int main(int Argc, char **Argv) {
   } else {
     // Untraced, then traced, with identical settings; half the time each.
     PassResult Untraced, Traced;
-    if (!RunPass(1, A.Seconds / 2, Untraced))
+    if (!RunPass(1, A.Seconds / 2, true, Untraced))
       return 1;
     Trace.enable(true);
-    if (!RunPass(1, A.Seconds / 2, Traced))
+    if (!RunPass(1, A.Seconds / 2, true, Traced))
       return 1;
     const MetricSet U = endToEnd(Untraced), T = endToEnd(Traced);
     printMetrics("end-to-end, untraced pass:", U);
