@@ -6,8 +6,11 @@
 # Runs the tier-1 test suite across five build configurations:
 #
 #   build        default flags, full tier-1 suite
-#   build-asan   SMAT_SANITIZE=ON (ASan + UBSan), full tier-1 suite — the
-#                malformed-input fuzz harness under memory-error detection
+#   build-asan   SMAT_SANITIZE=ON (ASan + UBSan) with SMAT_NATIVE_ARCH=OFF,
+#                full tier-1 suite — the malformed-input fuzz harness under
+#                memory-error detection, on the portable kernel list CI
+#                builds (no AVX kernels), where a model trained on a native
+#                build names kernels this build lacks
 #   build-tsan   SMAT_SANITIZE=thread, stress-labelled binaries only — the
 #                concurrent PlanCache/Smat stress under ThreadSanitizer
 #                (OMP_NUM_THREADS=1: the OpenMP runtime is not TSan-
@@ -52,7 +55,7 @@ run_pass() {
 }
 
 run_pass build "${TIER1_LABEL}"
-run_pass build-asan "${TIER1_LABEL}" -DSMAT_SANITIZE=ON
+run_pass build-asan "${TIER1_LABEL}" -DSMAT_SANITIZE=ON -DSMAT_NATIVE_ARCH=OFF
 OMP_NUM_THREADS=1 run_pass build-tsan stress -DSMAT_SANITIZE=thread
 run_pass build-fault fault -DSMAT_FAULT_INJECTION=ON
 OMP_NUM_THREADS=1 run_pass build-tsan-fault service \

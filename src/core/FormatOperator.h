@@ -27,6 +27,7 @@
 #include "matrix/FormatConvert.h"
 #include "ref/RefSpmv.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -307,65 +308,56 @@ private:
   const char *Name;
 };
 
-/// Converts \p A to \p Requested and binds the scoreboard-selected kernel
-/// from \p Sel. A DIA/ELL/BSR conversion can be rejected by its fill guards
-/// even when the model predicted the format confidently; the fallback is
-/// always CSR (honoring \p Storage). \p MoveSource, when non-null, is the
+/// The untuned plan: \p A borrowed with the basic (strategy-free) CSR SpMV
+/// and SpMM kernels. No conversion and no preconditions, so it binds in
+/// O(1) on any validated matrix; \p A must outlive the operator.
+template <typename T>
+std::unique_ptr<CsrBorrowedOperator<T>>
+basicCsrOperator(const CsrMatrix<T> &A) {
+  const auto &K = basicCsrKernel<T>();
+  const auto &M = basicCsrSpmmKernel<T>();
+  return std::make_unique<CsrBorrowedOperator<T>>(A, K.Fn, K.Name, M.Fn,
+                                                  M.Name);
+}
+
+/// Converts \p A to \p Requested and binds the kernels \p Sel picks for it
+/// (KernelSelection::kernelFor). A DIA/ELL/BSR conversion can be rejected
+/// by its fill guards even when the model predicted the format confidently;
+/// the fallback is always CSR (honoring \p Storage), so callers compare
+/// kind() with \p Requested to tell. \p MoveSource, when non-null, is the
 /// same matrix as \p A but mutable: an Owned CSR bind moves its storage
-/// instead of copying (the rvalue tune path). \p CsrKernelOverride, when in
-/// range, replaces the scoreboard's general CSR pick — the skew-aware bind
-/// path passes Sel.csrKernelFor(rowCv) here so heavily skewed matrices get
-/// the load-balanced kernel. \p BatchWidth selects which per-width SpMM
-/// pick (KernelSelection::BestSpmmKernel) the operator binds for
-/// multiply(); an unsearched width binds the format's basic SpMM kernel, so
-/// multiply() is batched for CSR/COO/DIA/ELL regardless of tuning width.
+/// instead of copying (the rvalue tune path). \p RowCv is the matrix's
+/// row-length coefficient of variation: above SkewRowCvThreshold the CSR
+/// SpMV kernel is the scoreboard's skew pick. \p BatchWidth selects the
+/// SpMM width bucket bound for multiply(); an unsearched bucket binds the
+/// format's basic SpMM kernel, so multiply() is batched for CSR/COO/DIA/ELL
+/// regardless of tuning width.
 template <typename T>
 std::unique_ptr<FormatOperator<T>>
 bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
                    const KernelSelection &Sel,
                    CsrStorage Storage = CsrStorage::Borrowed,
-                   CsrMatrix<T> *MoveSource = nullptr,
-                   int CsrKernelOverride = -1, index_t BatchWidth = 1) {
+                   CsrMatrix<T> *MoveSource = nullptr, double RowCv = 0.0,
+                   index_t BatchWidth = 1) {
   const KernelTable<T> &Kernels = kernelTable<T>();
-  auto Best = [&Sel](FormatKind Kind) {
-    return static_cast<std::size_t>(Sel.BestKernel[static_cast<int>(Kind)]);
-  };
-  // The scoreboard's SpMM pick for this width bucket, index-0 (basic) when
-  // the width was never searched, demoted to basic when the converted
-  // matrix violates the pick's structural precondition.
-  auto BestSpmm = [&Sel, BatchWidth](FormatKind Kind, const auto &List,
-                                     const auto &Converted) -> std::size_t {
-    int Idx = Sel.spmmKernelFor(Kind, BatchWidth);
-    if (Idx < 0 || static_cast<std::size_t>(Idx) >= List.size())
-      return 0;
-    if (!kernelPrecondsHold(List[static_cast<std::size_t>(Idx)].Preconds,
-                            Converted))
-      return 0;
-    return static_cast<std::size_t>(Idx);
-  };
+  // Width 1 shares the narrowest SpMM bucket with width 2.
+  const index_t SpmmWidth = std::max<index_t>(2, BatchWidth);
 
   switch (Requested) {
   case FormatKind::COO: {
     CooMatrix<T> Coo = csrToCoo(A);
-    // Honor the kernel's declared structural precondition: if the selected
-    // implementation demands monotone rows the converted matrix lacks (it
-    // never does for csrToCoo output, but the registration is the contract),
-    // bind the precondition-free basic kernel instead.
-    std::size_t Idx = Best(FormatKind::COO);
-    if (!kernelPrecondsHold(Kernels.Coo[Idx].Preconds, Coo))
-      Idx = 0;
-    const auto &K = Kernels.Coo[Idx];
+    const auto &K = Sel.kernelFor(Kernels.Coo, Requested, 1, RowCv, Coo);
     const auto &M =
-        Kernels.CooSpmm[BestSpmm(FormatKind::COO, Kernels.CooSpmm, Coo)];
+        Sel.kernelFor(Kernels.CooSpmm, Requested, SpmmWidth, RowCv, Coo);
     return std::make_unique<CooOperator<T>>(std::move(Coo), K.Fn, K.Name,
                                             M.Fn, M.Name);
   }
   case FormatKind::DIA: {
     DiaMatrix<T> Dia;
     if (csrToDia(A, Dia)) {
-      const auto &K = Kernels.Dia[Best(FormatKind::DIA)];
+      const auto &K = Sel.kernelFor(Kernels.Dia, Requested, 1, RowCv, Dia);
       const auto &M =
-          Kernels.DiaSpmm[BestSpmm(FormatKind::DIA, Kernels.DiaSpmm, Dia)];
+          Sel.kernelFor(Kernels.DiaSpmm, Requested, SpmmWidth, RowCv, Dia);
       return std::make_unique<DiaOperator<T>>(std::move(Dia), K.Fn, K.Name,
                                               M.Fn, M.Name);
     }
@@ -374,15 +366,9 @@ bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
   case FormatKind::ELL: {
     EllMatrix<T> Ell;
     if (csrToEll(A, Ell)) {
-      // Same precondition contract as COO: a selected kernel that needs the
-      // RowLen sidecar (the sliced variants) falls back to the basic kernel
-      // when the converted matrix lacks it.
-      std::size_t Idx = Best(FormatKind::ELL);
-      if (!kernelPrecondsHold(Kernels.Ell[Idx].Preconds, Ell))
-        Idx = 0;
-      const auto &K = Kernels.Ell[Idx];
+      const auto &K = Sel.kernelFor(Kernels.Ell, Requested, 1, RowCv, Ell);
       const auto &M =
-          Kernels.EllSpmm[BestSpmm(FormatKind::ELL, Kernels.EllSpmm, Ell)];
+          Sel.kernelFor(Kernels.EllSpmm, Requested, SpmmWidth, RowCv, Ell);
       return std::make_unique<EllOperator<T>>(std::move(Ell), K.Fn, K.Name,
                                               M.Fn, M.Name);
     }
@@ -392,7 +378,7 @@ bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
     index_t BlockSize = chooseBsrBlockSize(A);
     BsrMatrix<T> Bsr;
     if (BlockSize > 0 && csrToBsr(A, Bsr, BlockSize)) {
-      const auto &K = Kernels.Bsr[Best(FormatKind::BSR)];
+      const auto &K = Sel.kernelFor(Kernels.Bsr, Requested, 1, RowCv, Bsr);
       return std::make_unique<BsrOperator<T>>(std::move(Bsr), K.Fn, K.Name);
     }
     break;
@@ -401,13 +387,9 @@ bindFormatOperator(const CsrMatrix<T> &A, FormatKind Requested,
     break;
   }
 
-  std::size_t CsrIdx = Best(FormatKind::CSR);
-  if (CsrKernelOverride >= 0 &&
-      static_cast<std::size_t>(CsrKernelOverride) < Kernels.Csr.size())
-    CsrIdx = static_cast<std::size_t>(CsrKernelOverride);
-  const auto &K = Kernels.Csr[CsrIdx];
+  const auto &K = Sel.kernelFor(Kernels.Csr, FormatKind::CSR, 1, RowCv, A);
   const auto &M =
-      Kernels.CsrSpmm[BestSpmm(FormatKind::CSR, Kernels.CsrSpmm, A)];
+      Sel.kernelFor(Kernels.CsrSpmm, FormatKind::CSR, SpmmWidth, RowCv, A);
   if (Storage == CsrStorage::Owned) {
     // Allocate the node (the only throwing step) with an empty matrix, then
     // adopt the real storage noexcept: if the allocation throws, a

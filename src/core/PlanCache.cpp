@@ -36,13 +36,6 @@ std::int16_t eighthBucket(double Ratio) {
   return static_cast<std::int16_t>(std::floor(Clamped * 8.0));
 }
 
-/// Shard count policy: tiny caches keep one shard so eviction order is the
-/// exact global LRU order (observable, and relied on by the unit tests);
-/// service-sized caches spread contention across a fixed small power of two.
-std::size_t shardCountFor(std::size_t Capacity) {
-  return Capacity >= 64 ? 8 : 1;
-}
-
 } // namespace
 
 std::size_t
@@ -84,133 +77,104 @@ PlanFingerprint smat::fingerprintFeatures(const FeatureVector &F) {
 }
 
 PlanCache::PlanCache(std::size_t Capacity)
-    : Capacity(std::max<std::size_t>(1, Capacity)) {
-  std::size_t NumShards = shardCountFor(this->Capacity);
-  Shards.reserve(NumShards);
-  for (std::size_t I = 0; I < NumShards; ++I) {
-    auto S = std::make_unique<Shard>();
-    // Spread the capacity across shards, rounding up so the total never
-    // shrinks below the requested capacity.
-    S->Capacity = (this->Capacity + NumShards - 1) / NumShards;
-    Shards.push_back(std::move(S));
-  }
-}
-
-PlanCache::Shard &PlanCache::shardFor(const PlanFingerprint &Fp) {
-  return *Shards[PlanFingerprintHash{}(Fp) % Shards.size()];
-}
-
-const PlanCache::Shard &PlanCache::shardFor(const PlanFingerprint &Fp) const {
-  return *Shards[PlanFingerprintHash{}(Fp) % Shards.size()];
-}
+    : Capacity(std::max<std::size_t>(1, Capacity)) {}
 
 bool PlanCache::lookup(const PlanFingerprint &Fp, CachedPlan &Plan) {
-  Shard &S = shardFor(Fp);
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  auto It = S.Index.find(Fp);
-  if (It == S.Index.end()) {
-    ++S.Counters.Misses;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Index.find(Fp);
+  if (It == Index.end()) {
+    ++Counters.Misses;
     return false;
   }
-  ++S.Counters.Hits;
-  S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
+  ++Counters.Hits;
+  Lru.splice(Lru.begin(), Lru, It->second);
   Plan = It->second->second;
   return true;
 }
 
 PlanProbe PlanCache::lookupOrLead(const PlanFingerprint &Fp) {
-  Shard &S = shardFor(Fp);
-  std::unique_lock<std::mutex> Lock(S.Mutex);
+  std::unique_lock<std::mutex> Lock(Mutex);
   PlanProbe Probe;
   bool Waited = false;
   for (;;) {
-    auto It = S.Index.find(Fp);
-    if (It != S.Index.end()) {
-      ++S.Counters.Hits;
-      S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
+    auto It = Index.find(Fp);
+    if (It != Index.end()) {
+      ++Counters.Hits;
+      Lru.splice(Lru.begin(), Lru, It->second);
       Probe.Hit = true;
       Probe.Shared = Waited;
       Probe.Plan = It->second->second;
       return Probe;
     }
-    if (S.InFlight.find(Fp) == S.InFlight.end()) {
+    if (InFlight.find(Fp) == InFlight.end()) {
       // No plan and nobody tuning it: this caller leads. A waiter landing
       // here inherited an abandoned lease, which still counts as the miss
       // it is about to pay for.
-      ++S.Counters.Misses;
-      S.InFlight.insert(Fp);
+      ++Counters.Misses;
+      InFlight.insert(Fp);
       Probe.Lead = true;
       return Probe;
     }
     if (!Waited) {
-      ++S.Counters.SingleflightWaits;
+      ++Counters.SingleflightWaits;
       Waited = true;
     }
-    S.InFlightCv.wait(Lock);
+    InFlightCv.wait(Lock);
   }
 }
 
 void PlanCache::publish(const PlanFingerprint &Fp, const CachedPlan &Plan) {
-  Shard &S = shardFor(Fp);
   {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    insertLocked(S, Fp, Plan);
-    S.InFlight.erase(Fp);
+    std::lock_guard<std::mutex> Lock(Mutex);
+    insertLocked(Fp, Plan);
+    InFlight.erase(Fp);
   }
-  S.InFlightCv.notify_all();
+  InFlightCv.notify_all();
 }
 
 void PlanCache::abandon(const PlanFingerprint &Fp) {
-  Shard &S = shardFor(Fp);
   {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    S.InFlight.erase(Fp);
+    std::lock_guard<std::mutex> Lock(Mutex);
+    InFlight.erase(Fp);
   }
-  S.InFlightCv.notify_all();
+  InFlightCv.notify_all();
 }
 
 void PlanCache::insert(const PlanFingerprint &Fp, const CachedPlan &Plan) {
-  Shard &S = shardFor(Fp);
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  insertLocked(S, Fp, Plan);
+  std::lock_guard<std::mutex> Lock(Mutex);
+  insertLocked(Fp, Plan);
 }
 
-void PlanCache::insertLocked(Shard &S, const PlanFingerprint &Fp,
+void PlanCache::insertLocked(const PlanFingerprint &Fp,
                              const CachedPlan &Plan) {
-  auto It = S.Index.find(Fp);
-  if (It != S.Index.end()) {
+  auto It = Index.find(Fp);
+  if (It != Index.end()) {
     It->second->second = Plan;
-    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
-    ++S.Counters.Inserts;
+    Lru.splice(Lru.begin(), Lru, It->second);
+    ++Counters.Inserts;
     return;
   }
-  if (S.Lru.size() >= S.Capacity) {
-    S.Index.erase(S.Lru.back().first);
-    S.Lru.pop_back();
-    ++S.Counters.Evictions;
+  if (Lru.size() >= Capacity) {
+    Index.erase(Lru.back().first);
+    Lru.pop_back();
+    ++Counters.Evictions;
   }
-  S.Lru.emplace_front(Fp, Plan);
-  S.Index.emplace(Fp, S.Lru.begin());
-  ++S.Counters.Inserts;
+  Lru.emplace_front(Fp, Plan);
+  Index.emplace(Fp, Lru.begin());
+  ++Counters.Inserts;
 }
 
 void PlanCache::clear() {
-  for (auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    S->Lru.clear();
-    S->Index.clear();
-  }
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Lru.clear();
+  Index.clear();
 }
 
 PlanCacheStats PlanCache::stats() const {
   PlanCacheStats Total;
-  for (const auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    Total.Hits += S->Counters.Hits;
-    Total.Misses += S->Counters.Misses;
-    Total.Inserts += S->Counters.Inserts;
-    Total.Evictions += S->Counters.Evictions;
-    Total.SingleflightWaits += S->Counters.SingleflightWaits;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Total = Counters;
   }
   Total.SnapshotSaves = SnapshotSaves.load(std::memory_order_relaxed);
   Total.SnapshotLoads = SnapshotLoads.load(std::memory_order_relaxed);
@@ -220,12 +184,8 @@ PlanCacheStats PlanCache::stats() const {
 }
 
 std::size_t PlanCache::size() const {
-  std::size_t Total = 0;
-  for (const auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    Total += S->Lru.size();
-  }
-  return Total;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Lru.size();
 }
 
 //===----------------------------------------------------------------------===//
@@ -320,16 +280,13 @@ bool PlanCache::saveSnapshot(const std::string &Path,
     return false;
   };
 
-  // Snapshot the entries under the shard locks (one shard at a time; a plan
-  // inserted concurrently into an already-walked shard simply misses this
-  // snapshot, which is fine — snapshots are best-effort warm-start state).
+  // Snapshot the entries under the lock, walking the LRU back-to-front so
+  // reloading (which inserts in file order, each insert becoming
+  // most-recent) reproduces the recency order.
   std::vector<Entry> Entries;
-  for (const auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    // Walk LRU back-to-front so reloading (which inserts in file order,
-    // each insert becoming most-recent) reproduces the recency order.
-    for (auto It = S->Lru.rbegin(); It != S->Lru.rend(); ++It)
-      Entries.push_back(*It);
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Entries.assign(Lru.rbegin(), Lru.rend());
   }
 
   std::ostringstream Payload;

@@ -21,12 +21,11 @@
 /// near-identically, so reusing the decision does not change what the model
 /// would have answered — only what it costs.
 ///
-/// Concurrency: the cache is sharded (DESIGN.md section 16). A fingerprint
-/// hashes to one shard, each with its own mutex, LRU list, and singleflight
-/// lease set, so a service whose worker threads tune unrelated structures
-/// do not serialize on one global lock. Tiny caches (capacity < 64) stay
-/// single-sharded so their LRU eviction order is exact and globally
-/// observable, which the unit tests rely on.
+/// Concurrency: one mutex guards one exact LRU list and the singleflight
+/// lease set (DESIGN.md section 16). The runtime tunes through at most one
+/// thread per cache (the TuningService worker, a serial AMG setup), and a
+/// probe or insert holds the lock only for a hash lookup, so there is no
+/// contention for lock sharding to spread.
 ///
 /// Persistence: `saveSnapshot` writes a versioned, checksummed snapshot
 /// atomically (temp file + rename) and `loadSnapshot` restores it, so a
@@ -46,7 +45,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -159,7 +157,7 @@ enum class SnapshotLoadResult {
   Corrupt,
 };
 
-/// A bounded, thread-safe, sharded LRU cache of tuning plans keyed by
+/// A bounded, thread-safe, exact LRU cache of tuning plans keyed by
 /// structural fingerprint. Share one instance across every matrix a process
 /// tunes (or across an AMG hierarchy's levels) to amortize tuning cost.
 class PlanCache {
@@ -191,7 +189,7 @@ public:
   void abandon(const PlanFingerprint &Fp);
 
   /// Inserts or overwrites the plan for \p Fp, evicting the least recently
-  /// used entry of its shard when at capacity.
+  /// used entry when at capacity.
   void insert(const PlanFingerprint &Fp, const CachedPlan &Plan);
 
   /// Drops every entry (counters are preserved; they are monotonic).
@@ -203,7 +201,7 @@ public:
   /// \p Path, atomically: the payload goes to a temp file in the same
   /// directory which is then renamed over \p Path, so a crash mid-write
   /// leaves either the old snapshot or none — never a torn one. Thread-safe
-  /// against concurrent cache use (shards are walked one at a time).
+  /// against concurrent cache use.
   /// \returns false with the reason in \p Error (when non-null) on I/O
   /// failure; the cache itself is unaffected either way.
   bool saveSnapshot(const std::string &Path, std::string *Error = nullptr) const;
@@ -223,43 +221,27 @@ public:
   PlanCacheStats stats() const;
   std::size_t size() const;
   std::size_t capacity() const { return Capacity; }
-  /// Number of lock shards (1 for tiny caches, where exact global LRU
-  /// order matters more than lock spread).
-  std::size_t shards() const { return Shards.size(); }
 
 private:
   using Entry = std::pair<PlanFingerprint, CachedPlan>;
 
-  /// One lock domain: a slice of the capacity with its own LRU order and
-  /// singleflight lease set. A fingerprint always hashes to the same shard,
-  /// so per-fingerprint semantics (singleflight, LRU refresh, eviction
-  /// pressure) are unchanged from the unsharded cache.
-  struct Shard {
-    mutable std::mutex Mutex;
-    std::size_t Capacity = 1;
-    /// Most recently used at the front.
-    std::list<Entry> Lru;
-    std::unordered_map<PlanFingerprint, std::list<Entry>::iterator,
-                       PlanFingerprintHash>
-        Index;
-    /// Fingerprints whose tune is in flight under a singleflight lease.
-    std::unordered_set<PlanFingerprint, PlanFingerprintHash> InFlight;
-    /// Signalled on publish()/abandon() so lookupOrLead waiters re-probe.
-    std::condition_variable InFlightCv;
-    PlanCacheStats Counters;
-  };
-
-  Shard &shardFor(const PlanFingerprint &Fp);
-  const Shard &shardFor(const PlanFingerprint &Fp) const;
-
-  /// insert() with the shard mutex already held.
-  static void insertLocked(Shard &S, const PlanFingerprint &Fp,
-                           const CachedPlan &Plan);
+  /// insert() with Mutex already held.
+  void insertLocked(const PlanFingerprint &Fp, const CachedPlan &Plan);
 
   std::size_t Capacity;
-  /// unique_ptr because Shard holds a mutex and must not move.
-  std::vector<std::unique_ptr<Shard>> Shards;
-  /// Cache-global persistence counters (snapshots span every shard).
+  mutable std::mutex Mutex;
+  /// Most recently used at the front.
+  std::list<Entry> Lru;
+  std::unordered_map<PlanFingerprint, std::list<Entry>::iterator,
+                     PlanFingerprintHash>
+      Index;
+  /// Fingerprints whose tune is in flight under a singleflight lease.
+  std::unordered_set<PlanFingerprint, PlanFingerprintHash> InFlight;
+  /// Signalled on publish()/abandon() so lookupOrLead waiters re-probe.
+  std::condition_variable InFlightCv;
+  /// Hit/miss/insert/eviction/wait counters (under Mutex).
+  PlanCacheStats Counters;
+  /// Persistence counters.
   mutable std::atomic<std::uint64_t> SnapshotSaves{0};
   mutable std::atomic<std::uint64_t> SnapshotLoads{0};
   mutable std::atomic<std::uint64_t> SnapshotLoadFailures{0};

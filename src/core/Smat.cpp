@@ -6,7 +6,6 @@
 
 #include "core/Smat.h"
 
-#include "support/FaultInjection.h"
 #include "support/Timer.h"
 
 #include <cmath>
@@ -20,6 +19,19 @@ namespace {
 /// Rungs are ordered; a tune reports the deepest one it touched.
 DegradationLevel maxLevel(DegradationLevel A, DegradationLevel B) {
   return static_cast<int>(A) >= static_cast<int>(B) ? A : B;
+}
+
+/// Quick min-of-k sampling for the baseline and the post-bind verify, not
+/// a single shot: both feed a selection comparison, and a one-shot timing
+/// inflated by a scheduling spike would let the guardrail spuriously
+/// override a good plan. The minimum is robust — interference only adds
+/// time.
+RobustMeasureOptions quickMeasure() {
+  RobustMeasureOptions Opts;
+  Opts.MinSeconds = 1e-4;
+  Opts.MinReps = 2;
+  Opts.MaxRetries = 1;
+  return Opts;
 }
 
 } // namespace
@@ -176,7 +188,7 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
   if (HaveFeatures) {
     CostDecision = classifyBottleneck(Features.Features, Model.Cost);
     Report.Bottleneck = CostDecision.Class;
-    HaveCost = Opts.CostModelPrune && !Opts.ForceMeasure;
+    HaveCost = !Opts.ForceMeasure;
     Report.CostModelApplied = HaveCost;
   }
 
@@ -260,8 +272,12 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
   // The guardrail is a measurement: with AllowMeasure false (and no
   // ForceMeasure) the caller asked for the model's deterministic answer,
   // and a timing-dependent override would break that contract.
-  const bool GuardrailActive =
-      Opts.Guardrail && (Opts.AllowMeasure || Opts.ForceMeasure);
+  const bool GuardrailActive = Opts.AllowMeasure || Opts.ForceMeasure;
+
+  // The baseline and the post-bind verify share one timer (one operand
+  // block); the race in MeasureStage times its candidates the same way.
+  const index_t Width = std::max<index_t>(index_t(1), Opts.BatchWidth);
+  std::optional<OperatorTimer<T>> Timer;
 
   if (!Decided) {
     // Overhead unit and guardrail baseline: one basic CSR SpMV on this
@@ -276,46 +292,19 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
     if (TuneRemaining() > 0.0) {
       try {
         WallTimer BaselineTimer;
-        const KernelTable<T> &Kernels = kernelTable<T>();
-        const index_t Width = std::max<index_t>(index_t(1), Opts.BatchWidth);
-        AlignedVector<T> X(static_cast<std::size_t>(A.NumCols) *
-                               static_cast<std::size_t>(Width),
-                           T(1));
-        AlignedVector<T> Y(static_cast<std::size_t>(A.NumRows) *
-                               static_cast<std::size_t>(Width),
-                           T(0));
-        // Min-of-k quick sampling, not a single shot: the baseline feeds a
-        // selection comparison, and a one-shot timing inflated by a
-        // scheduling spike would let the guardrail spuriously override a
-        // good plan. The minimum is robust — interference only adds time.
-        RobustMeasureOptions BOpts;
-        BOpts.MinSeconds = 1e-4;
-        BOpts.MinReps = 2;
-        BOpts.MaxRetries = 1;
-        RobustMeasureResult BM = robustMeasureSecondsPerCall(
-            [&] {
-              fault::injectKernelFault("measure.baseline");
-              Kernels.Csr[0].Fn(A, X.data(), Y.data());
-            },
-            BOpts);
+        Timer.emplace(A, Width);
+        auto Basic = basicCsrOperator(A);
+        OperatorTiming BM =
+            Timer->time(*Basic, 1, quickMeasure(), "measure.baseline");
         Report.CsrSpmvSeconds = BM.SecondsPerCall;
         Report.NoisyTimings = Report.NoisyTimings || BM.Noisy;
         if (GuardrailActive) {
+          Report.BaselineGflops = BM.Gflops;
           if (Width > 1) {
-            RobustMeasureResult MM = robustMeasureSecondsPerCall(
-                [&] {
-                  fault::injectKernelFault("measure.baseline");
-                  Kernels.CsrSpmm[0].Fn(A, X.data(), Y.data(), Width);
-                },
-                BOpts);
-            Report.BaselineGflops =
-                spmvGflops(static_cast<std::uint64_t>(A.nnz()) *
-                               static_cast<std::uint64_t>(Width),
-                           MM.SecondsPerCall);
+            OperatorTiming MM = Timer->time(*Basic, Width, quickMeasure(),
+                                            "measure.baseline");
+            Report.BaselineGflops = MM.Gflops;
             Report.NoisyTimings = Report.NoisyTimings || MM.Noisy;
-          } else {
-            Report.BaselineGflops = spmvGflops(
-                static_cast<std::uint64_t>(A.nnz()), Report.CsrSpmvSeconds);
           }
         }
         BaselineSeconds = BaselineTimer.seconds();
@@ -353,8 +342,7 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
       try {
         MeasureStageResult Measured = MeasureStage::run(
             Ctx, Features, Prediction.Prediction,
-            HaveCost ? &CostDecision : nullptr,
-            Opts.Guardrail ? Report.BaselineGflops : 0.0);
+            HaveCost ? &CostDecision : nullptr, Report.BaselineGflops);
         Report.MeasuredGflops = std::move(Measured.MeasuredGflops);
         Report.MeasuredCandidates = std::move(Measured.Candidates);
         Report.MeasureSeconds = Measured.Seconds;
@@ -410,50 +398,29 @@ TunedSpmv<T> Smat<T>::tuneImpl(const CsrMatrix<T> &A, const TuneOptions &Opts,
       HaveCost && CostDecision.allows(Report.ChosenFormat);
   if (GuardrailActive && !Decided && !RanRace && !CostEndorsed &&
       Report.BaselineGflops > 0.0 && Op.Op) {
-    const index_t Width = std::max<index_t>(index_t(1), Opts.BatchWidth);
-    const KernelTable<T> &Kernels = kernelTable<T>();
     const bool AlreadyBasic =
         Report.ChosenFormat == FormatKind::CSR &&
-        (Report.KernelName == Kernels.Csr[0].Name ||
-         Report.KernelName == Kernels.CsrSpmm[0].Name);
+        (Report.KernelName == basicCsrKernel<T>().Name ||
+         Report.KernelName == basicCsrSpmmKernel<T>().Name);
     const bool SourceConsumed = MoveSource != nullptr &&
                                 Opts.CsrMode == CsrStorage::Owned &&
                                 Report.ChosenFormat == FormatKind::CSR;
     if (!AlreadyBasic && !SourceConsumed && TuneRemaining() > 0.0) {
       WallTimer GuardTimer;
       try {
-        AlignedVector<T> X(static_cast<std::size_t>(A.NumCols) *
-                               static_cast<std::size_t>(Width),
-                           T(1));
-        AlignedVector<T> Y(static_cast<std::size_t>(A.NumRows) *
-                               static_cast<std::size_t>(Width),
-                           T(0));
-        RobustMeasureOptions VOpts;
-        VOpts.MinSeconds = 1e-4;
-        VOpts.MinReps = 2;
-        VOpts.MaxRetries = 1;
-        RobustMeasureResult VM = robustMeasureSecondsPerCall(
-            [&] {
-              fault::injectKernelFault("guardrail.verify");
-              if (Width > 1)
-                Op.Op->multiply(X.data(), Y.data(), Width);
-              else
-                Op.Op->apply(X.data(), Y.data());
-            },
-            VOpts);
-        double BoundGflops =
-            spmvGflops(static_cast<std::uint64_t>(A.nnz()) *
-                           static_cast<std::uint64_t>(Width),
-                       VM.SecondsPerCall);
+        OperatorTiming VM =
+            Timer->time(*Op.Op, Width, quickMeasure(), "guardrail.verify");
         Report.NoisyTimings = Report.NoisyTimings || VM.Noisy;
         Report.MeasuredCandidates.push_back(
             {FormatKind::CSR,
-             Width > 1 ? Kernels.CsrSpmm[0].Name : Kernels.Csr[0].Name,
+             Width > 1 ? basicCsrSpmmKernel<T>().Name
+                       : basicCsrKernel<T>().Name,
              Report.BaselineGflops, true});
         Report.MeasuredCandidates.push_back(
-            {Report.ChosenFormat, Report.KernelName, BoundGflops, false});
-        if (Report.BaselineGflops >
-            BoundGflops * (1.0 + GuardrailNoiseFloor)) {
+            {Report.ChosenFormat,
+             Width > 1 ? Op.Op->spmmKernelName() : Op.Op->kernelName(),
+             VM.Gflops, false});
+        if (Report.BaselineGflops > VM.Gflops * (1.0 + GuardrailNoiseFloor)) {
           Report.GuardrailEngaged = true;
           BindStageResult<T> Guarded = BindStage::run(
               Ctx, FormatKind::CSR,

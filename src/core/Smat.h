@@ -239,10 +239,15 @@ private:
 /// matrices, the paper's reusability property).
 template <typename T> class Smat {
 public:
+  /// Adopts \p ModelIn, resolving its kernel picks by name against this
+  /// build's kernel table (KernelSelection::resolveNames): a model trained
+  /// where other kernels exist binds the basic kernel for picks this build
+  /// lacks instead of whatever sits at the recorded index.
   explicit Smat(LearningModel ModelIn)
       : Model(std::move(ModelIn)),
         Resilience(std::make_unique<ResilienceState>()) {
     Model.refreshRuleMetadata();
+    Model.Kernels.resolveNames(kernelTable<T>());
   }
 
   /// Copying a tuner copies the model but starts fresh resilience counters

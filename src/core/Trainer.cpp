@@ -9,6 +9,8 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 
 using namespace smat;
 
@@ -37,9 +39,9 @@ smat::measureAllFormats(const CsrMatrix<T> &A, const KernelSelection &Selection,
 
   std::array<double, NumFormats> Gflops;
   Gflops.fill(-1.0);
-  auto Best = [&Selection](FormatKind Kind) {
-    return static_cast<std::size_t>(
-        Selection.BestKernel[static_cast<int>(Kind)]);
+  auto Measure = [&](const auto &List, FormatKind Kind, const auto &M) {
+    const auto &K = Selection.kernelFor(List, Kind, 1, 0.0, M);
+    return measureOne<T>(K.Fn, M, X, Y, Opts.MeasureMinSeconds);
   };
 
   // CSR: measured directly on the input. The label must reflect the best
@@ -50,17 +52,16 @@ smat::measureAllFormats(const CsrMatrix<T> &A, const KernelSelection &Selection,
   // loses on matrices where binding a different CSR kernel (or simply not
   // tuning) wins, which is exactly the powerlaw mispick.
   {
-    double CsrBest = measureOne<T>(Kernels.Csr[Best(FormatKind::CSR)].Fn, A,
-                                   X, Y, Opts.MeasureMinSeconds);
-    if (Best(FormatKind::CSR) != 0)
-      CsrBest = std::max(CsrBest, measureOne<T>(Kernels.Csr[0].Fn, A, X, Y,
-                                                Opts.MeasureMinSeconds));
-    int Skew = Selection.BestSkewCsrKernel;
-    if (Skew >= 0 && static_cast<std::size_t>(Skew) < Kernels.Csr.size() &&
-        static_cast<std::size_t>(Skew) != Best(FormatKind::CSR) && Skew != 0)
-      CsrBest = std::max(
-          CsrBest, measureOne<T>(Kernels.Csr[static_cast<std::size_t>(Skew)].Fn,
-                                 A, X, Y, Opts.MeasureMinSeconds));
+    const auto &Csr = Kernels.Csr;
+    const Kernel<CsrKernelFn<T>> *Picks[] = {
+        &Selection.kernelFor(Csr, FormatKind::CSR, 1, 0.0, A), &Csr.front(),
+        &Selection.kernelFor(Csr, FormatKind::CSR, 1,
+                             std::numeric_limits<double>::infinity(), A)};
+    double CsrBest = 0.0;
+    for (auto *It = std::begin(Picks); It != std::end(Picks); ++It)
+      if (std::find(std::begin(Picks), It, *It) == It) // each kernel once
+        CsrBest = std::max(CsrBest, measureOne<T>((*It)->Fn, A, X, Y,
+                                                  Opts.MeasureMinSeconds));
     Gflops[static_cast<int>(FormatKind::CSR)] = CsrBest;
   }
 
@@ -68,8 +69,7 @@ smat::measureAllFormats(const CsrMatrix<T> &A, const KernelSelection &Selection,
   {
     CooMatrix<T> Coo = csrToCoo(A);
     Gflops[static_cast<int>(FormatKind::COO)] =
-        measureOne<T>(Kernels.Coo[Best(FormatKind::COO)].Fn, Coo, X, Y,
-                      Opts.MeasureMinSeconds);
+        Measure(Kernels.Coo, FormatKind::COO, Coo);
   }
 
   // DIA: only when the fill guards admit it.
@@ -77,8 +77,7 @@ smat::measureAllFormats(const CsrMatrix<T> &A, const KernelSelection &Selection,
     DiaMatrix<T> Dia;
     if (csrToDia(A, Dia, Opts.DiaMaxFillRatio, Opts.DiaMaxDiags))
       Gflops[static_cast<int>(FormatKind::DIA)] =
-          measureOne<T>(Kernels.Dia[Best(FormatKind::DIA)].Fn, Dia, X, Y,
-                        Opts.MeasureMinSeconds);
+          Measure(Kernels.Dia, FormatKind::DIA, Dia);
   }
 
   // ELL: only when the fill guard admits it.
@@ -86,8 +85,7 @@ smat::measureAllFormats(const CsrMatrix<T> &A, const KernelSelection &Selection,
     EllMatrix<T> Ell;
     if (csrToEll(A, Ell, Opts.EllMaxFillRatio))
       Gflops[static_cast<int>(FormatKind::ELL)] =
-          measureOne<T>(Kernels.Ell[Best(FormatKind::ELL)].Fn, Ell, X, Y,
-                        Opts.MeasureMinSeconds);
+          Measure(Kernels.Ell, FormatKind::ELL, Ell);
   }
 
   // BSR: extension format, only when enabled and a block size passes the
@@ -98,8 +96,7 @@ smat::measureAllFormats(const CsrMatrix<T> &A, const KernelSelection &Selection,
     BsrMatrix<T> Bsr;
     if (BlockSize > 0 && csrToBsr(A, Bsr, BlockSize, Opts.BsrMaxFillRatio))
       Gflops[static_cast<int>(FormatKind::BSR)] =
-          measureOne<T>(Kernels.Bsr[Best(FormatKind::BSR)].Fn, Bsr, X, Y,
-                        Opts.MeasureMinSeconds);
+          Measure(Kernels.Bsr, FormatKind::BSR, Bsr);
   }
   return Gflops;
 }

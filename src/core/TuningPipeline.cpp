@@ -51,6 +51,11 @@ bool bsrPlausible(const FeatureVector &F) {
   return F.ErBsr * BsrMaxFillRatio >= 1.0;
 }
 
+/// Fault-injection site armed around each race measurement, by FormatKind.
+constexpr const char *MeasureSites[NumFormats] = {
+    "measure.kernel.CSR", "measure.kernel.COO", "measure.kernel.DIA",
+    "measure.kernel.ELL", "measure.kernel.BSR"};
+
 } // namespace
 
 // --- FeatureStage -----------------------------------------------------------
@@ -130,24 +135,16 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
                                      const CostModelDecision *Allowed,
                                      double BaselineGflops) {
   WallTimer Timer;
-  const CsrMatrix<T> &A = Ctx.A;
-  const LearningModel &Model = Ctx.Model;
-  const KernelTable<T> &Kernels = kernelTable<T>();
+  const FeatureVector &F = Features.Features;
   MeasureStageResult Result;
   Result.Best = Fallback;
 
   // Execute-and-measure over the plausible candidates (paper Figure 7's
   // below-threshold path; Table 3 shows e.g. "CSR+COO" executions). A
-  // batched tune (BatchWidth > 1) times the SpMM kernels over a Width-wide
-  // dense block instead, so the format choice reflects batched performance.
+  // batched tune (BatchWidth > 1) times multiply() over a Width-wide dense
+  // block instead, so the format choice reflects batched performance.
   const index_t Width = std::max<index_t>(index_t(1), Ctx.Opts.BatchWidth);
-  const bool Batched = Width > 1;
-  AlignedVector<T> X(static_cast<std::size_t>(A.NumCols) *
-                         static_cast<std::size_t>(Width),
-                     T(1));
-  AlignedVector<T> Y(static_cast<std::size_t>(A.NumRows) *
-                         static_cast<std::size_t>(Width),
-                     T(0));
+  OperatorTimer<T> Time(Ctx.A, Width);
 
   // Seconds of tune budget left; +inf when unlimited.
   auto TuneRemaining = [&]() -> double {
@@ -156,21 +153,33 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
     return Ctx.Opts.TuneBudgetSeconds - Ctx.TuneClock->seconds();
   };
 
-  // Analytic pre-filter: with a cost-model decision in hand, only the
-  // formats that can address the classified bottleneck are raced. CSR is
-  // never pruned (it is the substrate and the guardrail's plan). A pruned
-  // format is not a dropped candidate — it was excluded by design, not
-  // lost to a failure.
-  auto FormatAllowed = [Allowed](FormatKind Kind) {
-    return Kind == FormatKind::CSR || !Allowed || Allowed->allows(Kind);
+  // Which formats race. CSR always does: it is the substrate and the
+  // guardrail's plan, so the cost model never prunes it. The others must
+  // pass the cost model's mask (a pruned format is excluded by design, not
+  // a dropped candidate) and their structural plausibility guard, so no
+  // conversion is attempted for hopeless candidates.
+  auto Races = [&](FormatKind Kind) {
+    if (Kind == FormatKind::CSR)
+      return true;
+    if (Allowed && !Allowed->allows(Kind))
+      return false;
+    switch (Kind) {
+    case FormatKind::DIA:
+      return diaPlausible(F);
+    case FormatKind::ELL:
+      return ellPlausible(F);
+    case FormatKind::BSR:
+      return Ctx.Model.BsrEnabled && bsrPlausible(F);
+    default:
+      return true;
+    }
   };
 
   // Measurement watchdog around one candidate: robust (min-of-k, spread
   // checked, backoff-retried) timing under the tighter of the per-candidate
   // and remaining whole-tune budgets; a candidate whose kernel throws is
   // dropped and the sweep continues.
-  auto Consider = [&](FormatKind Kind, const std::string &Kernel,
-                      const char *Site, auto &&RunOnce) {
+  auto Consider = [&](FormatKind Kind, const FormatOperator<T> &Op) {
     double Remaining = TuneRemaining();
     if (Remaining <= 0.0) {
       Result.BudgetExhausted = true;
@@ -183,149 +192,37 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
         (MOpts.BudgetSeconds <= 0.0 || Remaining < MOpts.BudgetSeconds))
       MOpts.BudgetSeconds = Remaining;
     try {
-      RobustMeasureResult M = robustMeasureSecondsPerCall(
-          [&] {
-            fault::injectKernelFault(Site);
-            RunOnce();
-          },
-          MOpts);
+      OperatorTiming M = Time.time(
+          Op, Width, MOpts, MeasureSites[static_cast<std::size_t>(Kind)]);
       Result.NoisyTimings = Result.NoisyTimings || M.Noisy;
       Result.BudgetExhausted = Result.BudgetExhausted || M.BudgetHit;
-      double Gflops = spmvGflops(static_cast<std::uint64_t>(A.nnz()) *
-                                     static_cast<std::uint64_t>(Width),
-                                 M.SecondsPerCall);
-      Result.MeasuredGflops.emplace_back(Kind, Gflops);
-      Result.Candidates.push_back({Kind, Kernel, Gflops, false});
+      Result.MeasuredGflops.emplace_back(Kind, M.Gflops);
+      Result.Candidates.push_back(
+          {Kind, Width > 1 ? Op.spmmKernelName() : Op.kernelName(),
+           M.Gflops, false});
     } catch (...) {
       ++Result.DroppedCandidates;
     }
   };
 
-  auto BestIdx = [&Model](FormatKind Kind) {
-    return static_cast<std::size_t>(
-        Model.Kernels.BestKernel[static_cast<int>(Kind)]);
-  };
-
-  // The scoreboard's per-width SpMM pick, with the same bounds/precondition
-  // fallback to the basic entry the bind uses.
-  auto BestSpmmIdx = [&Model, Width](FormatKind Kind, const auto &List,
-                                     const auto &Mat) -> std::size_t {
-    int Idx = Model.Kernels.spmmKernelFor(Kind, Width);
-    if (Idx < 0 || static_cast<std::size_t>(Idx) >= List.size())
-      return 0;
-    if (!kernelPrecondsHold(List[static_cast<std::size_t>(Idx)].Preconds, Mat))
-      return 0;
-    return static_cast<std::size_t>(Idx);
-  };
-
-  // The CSR candidate is measured with the kernel the bind would actually
-  // choose, including the skew-aware load-balanced pick for matrices with a
-  // high row-length CV — otherwise the measurement could crown CSR with a
-  // kernel the plan never binds (or vice versa).
-  if (Batched) {
-    std::size_t I = BestSpmmIdx(FormatKind::CSR, Kernels.CsrSpmm, A);
-    Consider(FormatKind::CSR, Kernels.CsrSpmm[I].Name, "measure.kernel.CSR",
-             [&, I] { Kernels.CsrSpmm[I].Fn(A, X.data(), Y.data(), Width); });
-  } else {
-    std::size_t CsrIdx = static_cast<std::size_t>(
-        Model.Kernels.csrKernelFor(Features.Features.rowCv()));
-    if (CsrIdx >= Kernels.Csr.size())
-      CsrIdx = BestIdx(FormatKind::CSR);
-    Consider(FormatKind::CSR, Kernels.Csr[CsrIdx].Name, "measure.kernel.CSR",
-             [&, CsrIdx] { Kernels.Csr[CsrIdx].Fn(A, X.data(), Y.data()); });
-  }
-  try {
-    if (FormatAllowed(FormatKind::COO)) {
-      CooMatrix<T> Coo = csrToCoo(A);
-      // Respect declared kernel preconditions (csrToCoo output always has
-      // monotone rows, but the registration is the contract, not the
-      // builder).
-      if (Batched) {
-        std::size_t I = BestSpmmIdx(FormatKind::COO, Kernels.CooSpmm, Coo);
-        Consider(FormatKind::COO, Kernels.CooSpmm[I].Name,
-                 "measure.kernel.COO", [&, I] {
-                   Kernels.CooSpmm[I].Fn(Coo, X.data(), Y.data(), Width);
-                 });
-      } else {
-        std::size_t CooIdx = BestIdx(FormatKind::COO);
-        if (!kernelPrecondsHold(Kernels.Coo[CooIdx].Preconds, Coo))
-          CooIdx = 0;
-        Consider(FormatKind::COO, Kernels.Coo[CooIdx].Name,
-                 "measure.kernel.COO", [&, CooIdx] {
-                   Kernels.Coo[CooIdx].Fn(Coo, X.data(), Y.data());
-                 });
-      }
+  // Each candidate is the plan BindStage would bind for this format —
+  // same kernels, same skew override, same width bucket — so the race can
+  // never crown a format with a kernel the plan does not use. A conversion
+  // that a fill guard rejects comes back as the CSR fallback and is not a
+  // candidate; one that throws is dropped.
+  for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO, FormatKind::DIA,
+                          FormatKind::ELL, FormatKind::BSR}) {
+    if (!Races(Kind))
+      continue;
+    try {
+      std::unique_ptr<FormatOperator<T>> Op = bindFormatOperator(
+          Ctx.A, Kind, Ctx.Model.Kernels, CsrStorage::Borrowed,
+          static_cast<CsrMatrix<T> *>(nullptr), F.rowCv(), Width);
+      if (Op->kind() == Kind)
+        Consider(Kind, *Op);
+    } catch (...) {
+      ++Result.DroppedCandidates;
     }
-  } catch (...) {
-    ++Result.DroppedCandidates; // COO conversion failed; CSR already ran.
-  }
-  try {
-    if (FormatAllowed(FormatKind::DIA) && diaPlausible(Features.Features)) {
-      DiaMatrix<T> Dia;
-      if (csrToDia(A, Dia)) {
-        if (Batched) {
-          std::size_t I = BestSpmmIdx(FormatKind::DIA, Kernels.DiaSpmm, Dia);
-          Consider(FormatKind::DIA, Kernels.DiaSpmm[I].Name,
-                   "measure.kernel.DIA", [&, I] {
-                     Kernels.DiaSpmm[I].Fn(Dia, X.data(), Y.data(), Width);
-                   });
-        } else {
-          std::size_t DiaIdx = BestIdx(FormatKind::DIA);
-          Consider(FormatKind::DIA, Kernels.Dia[DiaIdx].Name,
-                   "measure.kernel.DIA", [&, DiaIdx] {
-                     Kernels.Dia[DiaIdx].Fn(Dia, X.data(), Y.data());
-                   });
-        }
-      }
-    }
-  } catch (...) {
-    ++Result.DroppedCandidates;
-  }
-  try {
-    if (FormatAllowed(FormatKind::ELL) && ellPlausible(Features.Features)) {
-      EllMatrix<T> Ell;
-      if (csrToEll(A, Ell)) {
-        // Same precondition contract as COO: a selected sliced kernel needs
-        // the RowLen sidecar or falls back to the basic kernel.
-        if (Batched) {
-          std::size_t I = BestSpmmIdx(FormatKind::ELL, Kernels.EllSpmm, Ell);
-          Consider(FormatKind::ELL, Kernels.EllSpmm[I].Name,
-                   "measure.kernel.ELL", [&, I] {
-                     Kernels.EllSpmm[I].Fn(Ell, X.data(), Y.data(), Width);
-                   });
-        } else {
-          std::size_t EllIdx = BestIdx(FormatKind::ELL);
-          if (!kernelPrecondsHold(Kernels.Ell[EllIdx].Preconds, Ell))
-            EllIdx = 0;
-          Consider(FormatKind::ELL, Kernels.Ell[EllIdx].Name,
-                   "measure.kernel.ELL", [&, EllIdx] {
-                     Kernels.Ell[EllIdx].Fn(Ell, X.data(), Y.data());
-                   });
-        }
-      }
-    }
-  } catch (...) {
-    ++Result.DroppedCandidates;
-  }
-  try {
-    if (FormatAllowed(FormatKind::BSR) && Model.BsrEnabled &&
-        bsrPlausible(Features.Features)) {
-      index_t BlockSize = chooseBsrBlockSize(A);
-      BsrMatrix<T> Bsr;
-      if (BlockSize > 0 && csrToBsr(A, Bsr, BlockSize)) {
-        // BSR has no batched kernel family; its multiply() degrades to
-        // column-at-a-time applies, so the batched candidate runs the SpMV
-        // kernel Width times to model that honestly.
-        std::size_t BsrIdx = BestIdx(FormatKind::BSR);
-        Consider(FormatKind::BSR, Kernels.Bsr[BsrIdx].Name,
-                 "measure.kernel.BSR", [&, BsrIdx] {
-                   for (index_t J = 0; J < Width; ++J)
-                     Kernels.Bsr[BsrIdx].Fn(Bsr, X.data(), Y.data());
-                 });
-      }
-    }
-  } catch (...) {
-    ++Result.DroppedCandidates;
   }
 
   double BestGflops = -1.0;
@@ -341,8 +238,8 @@ MeasureStageResult MeasureStage::run(const TuningContext<T> &Ctx,
   // caller binds the basic CSR plan.
   if (BaselineGflops > 0.0) {
     Result.Candidates.push_back({FormatKind::CSR,
-                                 Batched ? basicCsrSpmmKernel<T>().Name
-                                         : basicCsrKernel<T>().Name,
+                                 Width > 1 ? basicCsrSpmmKernel<T>().Name
+                                           : basicCsrKernel<T>().Name,
                                  BaselineGflops, true});
     if (BaselineGflops > BestGflops) {
       Result.BaselineWon = true;
@@ -365,8 +262,7 @@ BindStageResult<T> BindStage::run(const TuningContext<T> &Ctx,
 
   // Skew-aware CSR kernel choice: with features in hand, a heavily skewed
   // row-length distribution binds the scoreboard's skew-pass pick.
-  int CsrOverride =
-      Features ? Ctx.Model.Kernels.csrKernelFor(Features->rowCv()) : -1;
+  const double RowCv = Features ? Features->rowCv() : 0.0;
 
   // Rung 0: the full bind — conversion plus the scoreboard-selected kernel
   // (with the long-standing guard fallback to CSR inside). When the caller
@@ -378,7 +274,7 @@ BindStageResult<T> BindStage::run(const TuningContext<T> &Ctx,
       fault::injectKernelFault("bind.operator");
       Result.Op = bindFormatOperator(Ctx.A, Requested, Ctx.Model.Kernels,
                                      Ctx.Opts.CsrMode, Ctx.MoveSource,
-                                     CsrOverride, Ctx.Opts.BatchWidth);
+                                     RowCv, Ctx.Opts.BatchWidth);
     } catch (...) {
       Result.Op = nullptr;
     }
@@ -394,9 +290,9 @@ BindStageResult<T> BindStage::run(const TuningContext<T> &Ctx,
       Result.Degradation = DegradationLevel::BasicKernel;
     try {
       fault::injectKernelFault("bind.basic_csr");
-      const auto &K = basicCsrKernel<T>();
-      const auto &KM = basicCsrSpmmKernel<T>();
       if (Ctx.Opts.CsrMode == CsrStorage::Owned) {
+        const auto &K = basicCsrKernel<T>();
+        const auto &KM = basicCsrSpmmKernel<T>();
         auto Owning = std::make_unique<CsrOwningOperator<T>>(
             CsrMatrix<T>(), K.Fn, K.Name, KM.Fn, KM.Name);
         if (Ctx.MoveSource)
@@ -405,9 +301,7 @@ BindStageResult<T> BindStage::run(const TuningContext<T> &Ctx,
           Owning->adoptMatrix(CsrMatrix<T>(Ctx.A));
         Result.Op = std::move(Owning);
       } else {
-        Result.Op = std::make_unique<CsrBorrowedOperator<T>>(Ctx.A, K.Fn,
-                                                             K.Name, KM.Fn,
-                                                             KM.Name);
+        Result.Op = basicCsrOperator(Ctx.A);
       }
     } catch (...) {
       Result.Op = nullptr;

@@ -32,6 +32,7 @@
 #include "core/FormatOperator.h"
 #include "core/LearningModel.h"
 #include "features/FeatureExtractor.h"
+#include "support/FaultInjection.h"
 #include "support/Timer.h"
 
 #include <cstdint>
@@ -106,19 +107,6 @@ struct TuneOptions {
   /// supports multiply() at any width regardless of this value; the width
   /// only steers which plan is considered optimal.
   index_t BatchWidth = 1;
-  /// Never-slower guardrail (DESIGN.md section 15): the measured basic-CSR
-  /// baseline enters the execute-and-measure race as a first-class
-  /// candidate, and a confident prediction's bound plan is quick-verified
-  /// against the baseline after the bind — either way, a tune that would
-  /// end up slower than not tuning binds the untuned basic CSR plan
-  /// instead and reports GuardrailEngaged. Needs measurement: with
-  /// AllowMeasure false (and no ForceMeasure) the guardrail cannot run.
-  bool Guardrail = true;
-  /// Analytic candidate pruning (CostModel.h): classify the matrix's
-  /// bottleneck from the extracted features and race only the formats that
-  /// can address it, instead of the full menu. Ignored under ForceMeasure
-  /// (ground-truth sweeps must stay exhaustive).
-  bool CostModelPrune = true;
   /// Generation stamp of the learned model that produced this tune, mixed
   /// into the plan-cache fingerprint. Layers that hot-reload model files at
   /// runtime (TuningService) bump this on every reload so plans cached
@@ -167,6 +155,59 @@ struct MeasuredCandidate {
   double Gflops = 0.0;
   /// True for the untuned basic-CSR guardrail entry.
   bool IsBaseline = false;
+};
+
+/// Min-of-k timing of one bound operator (OperatorTimer::time).
+struct OperatorTiming {
+  double SecondsPerCall = 0.0;
+  /// Effective throughput: 2 * nnz * width flops per call.
+  double Gflops = 0.0;
+  /// The samples stayed noisier than the spread threshold after retries.
+  bool Noisy = false;
+  /// Sampling stopped early because the measurement budget ran out.
+  bool BudgetHit = false;
+};
+
+/// The one timing path of a tune. The race (MeasureStage), the up-front
+/// baseline and the post-bind guardrail verify all time a bound operator
+/// through it, so every entry of the race record is measured the same way:
+/// apply() at width 1, multiply() otherwise, on a ones-filled operand block
+/// allocated once per timer, under robustMeasureSecondsPerCall with the
+/// fault site \p Site armed around each call.
+template <typename T> class OperatorTimer {
+public:
+  /// Operand blocks for \p A at up to \p MaxWidth right-hand sides.
+  OperatorTimer(const CsrMatrix<T> &A, index_t MaxWidth)
+      : Nnz(static_cast<std::uint64_t>(A.nnz())),
+        X(static_cast<std::size_t>(A.NumCols) *
+              static_cast<std::size_t>(MaxWidth),
+          T(1)),
+        Y(static_cast<std::size_t>(A.NumRows) *
+              static_cast<std::size_t>(MaxWidth),
+          T(0)) {}
+
+  /// Times \p Op at batch width \p Width (at most the timer's MaxWidth).
+  /// Throws whatever the operator or the armed fault site throws.
+  OperatorTiming time(const FormatOperator<T> &Op, index_t Width,
+                      const RobustMeasureOptions &Opts, const char *Site) {
+    RobustMeasureResult M = robustMeasureSecondsPerCall(
+        [&] {
+          fault::injectKernelFault(Site);
+          if (Width > 1)
+            Op.multiply(X.data(), Y.data(), Width);
+          else
+            Op.apply(X.data(), Y.data());
+        },
+        Opts);
+    return {M.SecondsPerCall,
+            spmvGflops(Nnz * static_cast<std::uint64_t>(Width),
+                       M.SecondsPerCall),
+            M.Noisy, M.BudgetHit};
+  }
+
+private:
+  std::uint64_t Nnz;
+  AlignedVector<T> X, Y;
 };
 
 /// Result of MeasureStage.
@@ -235,7 +276,10 @@ public:
                         const PredictStageResult &Prediction);
 
   /// Measures every candidate that passes its structural plausibility
-  /// guard; \p Fallback is returned as Best when nothing is measured.
+  /// guard; \p Fallback is returned as Best when nothing is measured. Each
+  /// candidate is bound with bindFormatOperator — the kernels the bind
+  /// would pick for this width and row-length CV — and timed through
+  /// OperatorTimer, so the race measures exactly the plan BindStage binds.
   /// \p Allowed, when non-null, restricts the race to the cost model's
   /// candidate mask (CSR is always raced). \p BaselineGflops, when
   /// positive, enters the untuned basic-CSR baseline as a first-class
@@ -254,8 +298,8 @@ class BindStage {
 public:
   /// \p Features, when non-null, enables skew-aware CSR kernel selection:
   /// a row-length CV above SkewRowCvThreshold binds the scoreboard's
-  /// skew-pass pick (KernelSelection::BestSkewCsrKernel) instead of the
-  /// general CSR kernel. Null keeps the historical behavior.
+  /// skew-pass pick (KernelSelection::kernelFor) instead of the general CSR
+  /// kernel. Null binds the general pick.
   /// \p ForceBasicCsr binds the untuned plan directly — the basic
   /// (strategy-free) CSR SpMV and SpMM kernels with no conversion — used
   /// when the never-slower guardrail decided tuning does not pay. It is a

@@ -90,12 +90,9 @@ TuningService<T>::makeJob(CsrMatrix<T> &&A) const {
   // against the job's own matrix copy. Precondition-free, O(1) to bind —
   // this is what makes the handle servable before the worker ever runs.
   auto Boot = std::make_shared<detail::AsyncPlan<T>>();
-  const auto &K = basicCsrKernel<T>();
-  const auto &M = basicCsrSpmmKernel<T>();
-  Boot->Op = std::make_unique<CsrBorrowedOperator<T>>(Job->Matrix, K.Fn,
-                                                      K.Name, M.Fn, M.Name);
+  Boot->Op = basicCsrOperator(Job->Matrix);
   Boot->Report.ChosenFormat = FormatKind::CSR;
-  Boot->Report.KernelName = K.Name;
+  Boot->Report.KernelName = basicCsrKernel<T>().Name;
   Boot->Tuned = false;
   Job->Bootstrap = std::move(Boot);
   Job->Plan.store(Job->Bootstrap.get(), std::memory_order_release);

@@ -141,9 +141,7 @@ KernelSelection smat::searchOptimalKernels(double MinSeconds,
     auto Measurements =
         measureKernelTable<T>(KernelList, Probe, MinSeconds, FormatBudget);
     ScoreboardResult Result = runScoreboard(Measurements);
-    int Idx = static_cast<int>(Kind);
-    Selection.BestKernel[Idx] = Result.BestIndex;
-    Selection.BestKernelName[Idx] =
+    Selection.BestKernelName[static_cast<std::size_t>(Kind)] =
         Measurements[static_cast<std::size_t>(Result.BestIndex)].Name;
   };
 
@@ -163,7 +161,6 @@ KernelSelection smat::searchOptimalKernels(double MinSeconds,
     auto Measurements =
         measureKernelTable<T>(Kernels.Csr, SkewProbe, MinSeconds, FormatBudget);
     ScoreboardResult Result = runScoreboard(Measurements);
-    Selection.BestSkewCsrKernel = Result.BestIndex;
     Selection.BestSkewCsrKernelName =
         Measurements[static_cast<std::size_t>(Result.BestIndex)].Name;
   }
@@ -181,10 +178,8 @@ KernelSelection smat::searchOptimalKernels(double MinSeconds,
       auto Measurements = measureSpmmKernelTable<T>(KernelList, Probe, Width,
                                                     MinSeconds, FamilyBudget);
       ScoreboardResult Result = runScoreboard(Measurements);
-      std::size_t Idx = static_cast<std::size_t>(Kind);
-      Selection.BestSpmmKernel[Idx][static_cast<std::size_t>(W)] =
-          Result.BestIndex;
-      Selection.BestSpmmKernelName[Idx][static_cast<std::size_t>(W)] =
+      Selection.BestSpmmKernelName[static_cast<std::size_t>(Kind)]
+                                  [static_cast<std::size_t>(W)] =
           Measurements[static_cast<std::size_t>(Result.BestIndex)].Name;
     };
     PickSpmm(FormatKind::CSR, Kernels.CsrSpmm, CsrProbe);
@@ -192,6 +187,9 @@ KernelSelection smat::searchOptimalKernels(double MinSeconds,
     PickSpmm(FormatKind::DIA, Kernels.DiaSpmm, DiaProbe);
     PickSpmm(FormatKind::ELL, Kernels.EllSpmm, EllProbe);
   }
+  // The picks are recorded by name; the indices follow from this build's
+  // table.
+  Selection.resolveNames(Kernels);
   return Selection;
 }
 

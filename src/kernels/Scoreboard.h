@@ -176,6 +176,13 @@ inline int spmmWidthIndex(index_t K) {
 }
 
 /// The per-format kernels selected by the scoreboard on this machine.
+///
+/// The kernel names are authoritative; the indices are their positions in
+/// one build's kernel table. Kernel lists differ between builds (the AVX
+/// variants exist only under -march=native), so a model carried to another
+/// build must be re-resolved by name (resolveNames) before its indices mean
+/// anything, and every read goes through kernelFor, which cannot index out
+/// of range.
 struct KernelSelection {
   std::array<int, NumFormats> BestKernel{}; ///< Indexed by FormatKind.
   std::array<std::string, NumFormats> BestKernelName{};
@@ -199,22 +206,66 @@ struct KernelSelection {
   std::array<std::array<std::string, NumSpmmWidths>, NumFormats>
       BestSpmmKernelName{};
 
-  /// The CSR kernel index to bind for a matrix with row-length coefficient
-  /// of variation \p RowCv.
-  int csrKernelFor(double RowCv) const {
-    int Base = BestKernel[static_cast<int>(FormatKind::CSR)];
-    return (BestSkewCsrKernel >= 0 && RowCv > SkewRowCvThreshold)
-               ? BestSkewCsrKernel
-               : Base;
-  }
+  /// Re-derives every index from its name against \p Table. A name the
+  /// table does not know (a kernel of another build, or none at all) falls
+  /// back to the format's basic kernel, index 0; an empty skew or SpMM name
+  /// marks that pick unsearched (-1). Names are left as they are, so a
+  /// model saved again still carries its picks to a build that has them.
+  template <typename T> void resolveNames(const KernelTable<T> &Table);
 
-  /// The SpMM kernel index (into the format's SpMM list) to bind for batch
-  /// width \p K, or -1 when that width bucket was never searched.
-  int spmmKernelFor(FormatKind Kind, index_t K) const {
-    return BestSpmmKernel[static_cast<std::size_t>(Kind)]
-                         [static_cast<std::size_t>(spmmWidthIndex(K))];
+  /// The kernel to bind for format \p Kind: the one place a (format, batch
+  /// width, row-length CV) triple becomes a kernel. \p Width 1 reads the
+  /// format's SpMV pick — \p List is its SpMV list — taking the skew pick
+  /// for CSR when \p RowCv exceeds SkewRowCvThreshold. \p Width >= 2 reads
+  /// the SpMM pick of the width's bucket — \p List is its SpMM list. An
+  /// unsearched pick, an index outside \p List, or a pick whose declared
+  /// precondition \p Converted violates all yield the basic entry.
+  template <typename FnT, typename MatrixT>
+  const Kernel<FnT> &kernelFor(const std::vector<Kernel<FnT>> &List,
+                               FormatKind Kind, index_t Width, double RowCv,
+                               const MatrixT &Converted) const {
+    const std::size_t F = static_cast<std::size_t>(Kind);
+    int Idx = BestKernel[F];
+    if (Width > 1)
+      Idx = BestSpmmKernel[F][static_cast<std::size_t>(spmmWidthIndex(Width))];
+    else if (Kind == FormatKind::CSR && BestSkewCsrKernel >= 0 &&
+             RowCv > SkewRowCvThreshold)
+      Idx = BestSkewCsrKernel;
+    if (Idx < 0 || static_cast<std::size_t>(Idx) >= List.size() ||
+        !kernelPrecondsHold(List[static_cast<std::size_t>(Idx)].Preconds,
+                            Converted))
+      return List.front();
+    return List[static_cast<std::size_t>(Idx)];
   }
 };
+
+template <typename T>
+void KernelSelection::resolveNames(const KernelTable<T> &Table) {
+  auto IndexOf = [](const auto &List, const std::string &Name) {
+    for (std::size_t I = 0; I != List.size(); ++I)
+      if (Name == List[I].Name)
+        return static_cast<int>(I);
+    return 0;
+  };
+  auto Resolve = [&](FormatKind Kind, const auto &Spmv, const auto &Spmm) {
+    const auto F = static_cast<std::size_t>(Kind);
+    BestKernel[F] = IndexOf(Spmv, BestKernelName[F]);
+    for (std::size_t W = 0; W != BestSpmmKernel[F].size(); ++W) {
+      const std::string &Name = BestSpmmKernelName[F][W];
+      BestSpmmKernel[F][W] = Name.empty() ? -1 : IndexOf(Spmm, Name);
+    }
+  };
+  Resolve(FormatKind::CSR, Table.Csr, Table.CsrSpmm);
+  Resolve(FormatKind::COO, Table.Coo, Table.CooSpmm);
+  Resolve(FormatKind::DIA, Table.Dia, Table.DiaSpmm);
+  Resolve(FormatKind::ELL, Table.Ell, Table.EllSpmm);
+  // BSR has no SpMM family; its bucket row is never read.
+  const auto Bsr = static_cast<std::size_t>(FormatKind::BSR);
+  BestKernel[Bsr] = IndexOf(Table.Bsr, BestKernelName[Bsr]);
+  BestSkewCsrKernel = BestSkewCsrKernelName.empty()
+                          ? -1
+                          : IndexOf(Table.Csr, BestSkewCsrKernelName);
+}
 
 /// Runs the full off-line kernel search: builds one format-friendly probe
 /// matrix per format, measures every implementation, and applies the

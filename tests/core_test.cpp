@@ -8,6 +8,7 @@
 #include "core/Trainer.h"
 #include "matrix/Generators.h"
 #include "ml/ModelIO.h"
+#include "ref/RefSpmv.h"
 #include "support/Str.h"
 
 #include "TestUtil.h"
@@ -35,6 +36,82 @@ const TrainResult &sharedTrainResult() {
     return trainSmat<double>(Training, fastOptions());
   }();
   return Result;
+}
+
+/// Model text for the kernel-resolution tests: basic kernel picks, an empty
+/// ruleset whose default predicts \p Predicted unconfidently, and \p Edit
+/// applied — a "kernel FMT ..." line replaces that format's line, any other
+/// line joins the optional block before the ruleset.
+std::string resolutionModelText(FormatKind Predicted, const std::string &Edit) {
+  std::string Text = "SMAT-MODEL v1\nthreshold 0.85\nbsr 0\n";
+  for (std::string Line : {"kernel CSR 0 csr_basic", "kernel COO 0 coo_basic",
+                           "kernel DIA 0 dia_basic", "kernel ELL 0 ell_basic",
+                           "kernel BSR 0 bsr_basic"}) {
+    const std::string Prefix = Line.substr(0, Line.find(' ', 7) + 1);
+    Text += (Edit.rfind(Prefix, 0) == 0 ? Edit : Line) + "\n";
+  }
+  if (Edit.rfind("kernel ", 0) != 0)
+    Text += Edit + "\n";
+  return Text + "SMAT-RULESET v1\ndefault " +
+         std::string(formatName(Predicted)) + " 0.5\nrules 0\n";
+}
+
+/// Checks \p Op's apply and width-8 multiply against the reference kernel.
+template <typename T, typename OpT>
+void expectOperatorMatchesReference(const OpT &Op, const CsrMatrix<T> &A) {
+  constexpr index_t K = 8;
+  const double Tol = std::is_same_v<T, float> ? 1e-4 : 1e-10;
+  auto X = randomVector<T>(static_cast<std::size_t>(A.NumCols) * K, 5);
+  std::vector<T> Expected(static_cast<std::size_t>(A.NumRows));
+  std::vector<T> Y(Expected.size()), Yk(Expected.size() * K);
+  refCsrSpmv(A, X.data(), Expected.data());
+  Op.apply(X.data(), Y.data());
+  expectVectorsNear(Expected, Y, Tol);
+  // Column 0 of the row-major block: every K-th entry of X.
+  std::vector<T> Xk(X.size());
+  for (std::size_t I = 0; I != static_cast<std::size_t>(A.NumCols); ++I)
+    Xk[I * K] = X[I];
+  Op.multiply(Xk.data(), Yk.data(), K);
+  for (std::size_t I = 0; I != Expected.size(); ++I)
+    Y[I] = Yk[I * K];
+  expectVectorsNear(Expected, Y, Tol);
+}
+
+/// Loads a committed bench_cache model into Smat<T> and binds every format
+/// at k=1 and k=8 on a matrix that converts to it, then tunes each matrix
+/// end to end. The committed models name kernels (csr_avx2, csr_avx512)
+/// that only a -march=native build has.
+template <typename T> void tuneEveryFormatWith(const std::string &File) {
+  SCOPED_TRACE(File);
+  std::string Error;
+  auto Tuner = Smat<T>::tryFromFile(std::string(SMAT_BENCH_CACHE_DIR) + "/" +
+                                        File,
+                                    &Error);
+  ASSERT_TRUE(Tuner) << Error;
+  const std::pair<FormatKind, CsrMatrix<double>> Cases[] = {
+      {FormatKind::CSR, powerLawGraph(2000, 1.9, 1, 400, 102)},
+      {FormatKind::COO, powerLawGraph(800, 2.2, 1, 50, 5)},
+      {FormatKind::DIA, banded(2000, 3)},
+      {FormatKind::ELL, boundedDegreeRandom(2000, 2000, 6, 6, 44)},
+      {FormatKind::BSR, blockFem(200, 4, 0.0, 45)}};
+  for (const auto &[Kind, Source] : Cases) {
+    SCOPED_TRACE(std::string(formatName(Kind)));
+    CsrMatrix<T> A = convertValueType<T>(Source);
+    for (index_t Width : {index_t(1), index_t(8)}) {
+      TuneOptions Opts;
+      Opts.BatchWidth = Width;
+      TuningContext<T> Ctx{A, Tuner->model(), Opts, nullptr};
+      FeatureStageResult F = FeatureStage::run(Ctx);
+      BindStageResult<T> B = BindStage::run(Ctx, Kind, &F.Features);
+      ASSERT_TRUE(B.Op);
+      EXPECT_EQ(B.BoundFormat, Kind);
+      expectOperatorMatchesReference(*B.Op, A);
+    }
+    TuneOptions Opts;
+    Opts.MeasureMinSeconds = 1e-4;
+    TunedSpmv<T> Op = Tuner->tune(A, Opts);
+    expectOperatorMatchesReference(Op, A);
+  }
 }
 
 } // namespace
@@ -570,4 +647,52 @@ TEST(SmatRuntimeTest, TuneIsDeterministicWithoutMeasurement) {
   FormatKind First = Tuner.tune(A, NoMeasure).format();
   for (int Rep = 0; Rep < 3; ++Rep)
     EXPECT_EQ(Tuner.tune(A, NoMeasure).format(), First);
+}
+
+// --- Kernel resolution ------------------------------------------------------
+
+TEST(KernelResolutionTest, ModelKernelLinesResolveByName) {
+  // The name on a kernel line decides; the index is only a hint, and a name
+  // this build does not know binds the format's basic kernel.
+  struct Case {
+    FormatKind Predicted;
+    std::string Edit;
+    index_t Width;
+    std::string Bound;
+  };
+  const Case Cases[] = {
+      {FormatKind::CSR, "kernel CSR 99 csr_basic", 1, "csr_basic"},
+      {FormatKind::CSR, "kernel CSR 0 csr_omp_unroll", 1, "csr_omp_unroll"},
+      {FormatKind::ELL, "kernel ELL 1 ell_gone", 1, "ell_basic"},
+      {FormatKind::CSR, "kernel_spmm 8 CSR 99 csr_spmm_basic", 8,
+       "csr_spmm_basic"},
+      {FormatKind::CSR, "kernel_spmm 8 CSR 0 csr_spmm_omp_rowsplit", 8,
+       "csr_spmm_omp_rowsplit"},
+      {FormatKind::ELL, "kernel_spmm 8 ELL 1 ell_spmm_gone", 8,
+       "ell_spmm_basic"},
+  };
+  CsrMatrix<double> A = banded(600, 2);
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Edit);
+    LearningModel Model;
+    std::string Error;
+    ASSERT_TRUE(
+        parseModel(resolutionModelText(C.Predicted, C.Edit), Model, Error))
+        << Error;
+    Smat<double> Tuner(std::move(Model));
+    TuneOptions Opts;
+    Opts.AllowMeasure = false; // bind the prediction as-is
+    Opts.BatchWidth = C.Width;
+    TunedSpmv<double> Op = Tuner.tune(A, Opts);
+    ASSERT_EQ(Op.format(), C.Predicted);
+    EXPECT_EQ(std::string(C.Width > 1 ? Op.spmmKernelName()
+                                      : Op.kernelName().c_str()),
+              C.Bound);
+    expectOperatorMatchesReference(Op, A);
+  }
+}
+
+TEST(KernelResolutionTest, CommittedModelsTuneEveryFormat) {
+  tuneEveryFormatWith<double>("model_double_small.txt");
+  tuneEveryFormatWith<float>("model_float_small.txt");
 }

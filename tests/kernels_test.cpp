@@ -676,8 +676,13 @@ TEST(ScoreboardTest, SearchOptimalKernelsReturnsValidIndices) {
   EXPECT_GE(S.BestSkewCsrKernel, 0);
   EXPECT_LT(S.BestSkewCsrKernel, static_cast<int>(T.Csr.size()));
   EXPECT_FALSE(S.BestSkewCsrKernelName.empty());
-  // csrKernelFor routes by row CV: below the threshold the general pick,
+  // kernelFor routes CSR by row CV: below the threshold the general pick,
   // above it the skew pick.
-  EXPECT_EQ(S.csrKernelFor(0.0), S.BestKernel[static_cast<int>(FormatKind::CSR)]);
-  EXPECT_EQ(S.csrKernelFor(SkewRowCvThreshold + 1.0), S.BestSkewCsrKernel);
+  CsrMatrix<double> A = randomCsr(50, 50, 0.1, 9);
+  EXPECT_EQ(&S.kernelFor(T.Csr, FormatKind::CSR, 1, 0.0, A),
+            &T.Csr[static_cast<std::size_t>(
+                S.BestKernel[static_cast<int>(FormatKind::CSR)])]);
+  EXPECT_EQ(
+      &S.kernelFor(T.Csr, FormatKind::CSR, 1, SkewRowCvThreshold + 1.0, A),
+      &T.Csr[static_cast<std::size_t>(S.BestSkewCsrKernel)]);
 }

@@ -49,6 +49,24 @@ LearningModel strictModel() {
   return Model;
 }
 
+/// strictModel() with non-basic kernel picks, recorded by name as a
+/// scoreboard search records them: a general CSR pick, a different skew
+/// pick, and multi-threaded SpMM picks in every width bucket — so the race
+/// and the bind each have a real lookup to agree on.
+LearningModel pickedModel() {
+  LearningModel Model = strictModel();
+  KernelSelection &Sel = Model.Kernels;
+  Sel.BestKernelName = {"csr_omp_static", "coo_omp_rowsplit", "dia_omp_rows",
+                        "ell_omp_rows", "bsr_omp"};
+  Sel.BestSkewCsrKernelName = "csr_nnzsplit";
+  auto F = [](FormatKind Kind) { return static_cast<std::size_t>(Kind); };
+  Sel.BestSpmmKernelName[F(FormatKind::CSR)].fill("csr_spmm_omp_rowsplit");
+  Sel.BestSpmmKernelName[F(FormatKind::COO)].fill("coo_spmm_tiled");
+  Sel.BestSpmmKernelName[F(FormatKind::DIA)].fill("dia_spmm_omp_rows");
+  Sel.BestSpmmKernelName[F(FormatKind::ELL)].fill("ell_spmm_omp_rows");
+  return Model;
+}
+
 TuneOptions fastTune() {
   TuneOptions Opts;
   Opts.MeasureMinSeconds = 1e-4;
@@ -270,24 +288,43 @@ TEST(GuardrailBindTest, ForceBasicCsrBindsTheUntunedPlan) {
 
 TEST(GuardrailReportTest, ColdRaceRecordsBaselineAndCandidates) {
   auto Corpus = smokeCorpus();
-  Smat<double> Tuner(strictModel());
-  for (const CorpusCase &Case : Corpus) {
-    TunedSpmv<double> Op = Tuner.tune(Case.A, fastTune());
-    const TuningReport &R = Op.report();
-    EXPECT_GT(R.BaselineGflops, 0.0) << Case.Name;
-    EXPECT_GT(R.BaselineSeconds, 0.0) << Case.Name;
-    EXPECT_GE(R.TuneSeconds, 0.0) << Case.Name;
-    int Baselines = 0;
-    for (const MeasuredCandidate &C : R.MeasuredCandidates)
-      Baselines += C.IsBaseline ? 1 : 0;
-    EXPECT_EQ(Baselines, 1)
-        << Case.Name << ": exactly one baseline entry per race";
-    if (R.GuardrailEngaged) {
-      EXPECT_EQ(R.ChosenFormat, FormatKind::CSR) << Case.Name;
-      EXPECT_EQ(R.KernelName, kernelTable<double>().Csr[0].Name) << Case.Name;
+  Smat<double> Tuner(pickedModel());
+  bool SawSkewed = false;
+  for (const CorpusCase &Case : Corpus)
+    for (index_t K : {index_t(1), index_t(8)}) {
+      SCOPED_TRACE(Case.Name + " k=" + std::to_string(K));
+      TuneOptions Opts = fastTune();
+      Opts.BatchWidth = K;
+      TunedSpmv<double> Op = Tuner.tune(Case.A, Opts);
+      const TuningReport &R = Op.report();
+      SawSkewed = SawSkewed || R.Features.rowCv() > SkewRowCvThreshold;
+      EXPECT_GT(R.BaselineGflops, 0.0);
+      EXPECT_GT(R.BaselineSeconds, 0.0);
+      EXPECT_GE(R.TuneSeconds, 0.0);
+      int Baselines = 0;
+      for (const MeasuredCandidate &C : R.MeasuredCandidates)
+        Baselines += C.IsBaseline ? 1 : 0;
+      EXPECT_EQ(Baselines, 1) << "exactly one baseline entry per race";
+      EXPECT_TRUE(R.CostModelApplied);
+      if (R.GuardrailEngaged) {
+        EXPECT_EQ(R.ChosenFormat, FormatKind::CSR);
+        EXPECT_EQ(R.KernelName, kernelTable<double>().Csr[0].Name);
+        continue;
+      }
+      // A tuned winner: the kernel the race timed for the bound format is
+      // the kernel the bound operator runs at this width.
+      const std::string Bound =
+          K > 1 ? Op.spmmKernelName() : Op.kernelName();
+      int Entries = 0;
+      for (const MeasuredCandidate &C : R.MeasuredCandidates)
+        if (!C.IsBaseline && C.Format == R.ChosenFormat) {
+          ++Entries;
+          EXPECT_EQ(C.Kernel, Bound) << formatName(C.Format);
+        }
+      EXPECT_EQ(Entries, 1) << "the bound format raced exactly once";
     }
-    EXPECT_TRUE(R.CostModelApplied) << Case.Name;
-  }
+  EXPECT_TRUE(SawSkewed)
+      << "the corpus must put the CSR skew pick on the race path";
 }
 
 TEST(GuardrailReportTest, NoMeasureTuneKeepsGuardrailInactive) {
@@ -305,21 +342,6 @@ TEST(GuardrailReportTest, NoMeasureTuneKeepsGuardrailInactive) {
   EXPECT_TRUE(First.report().MeasuredCandidates.empty());
   EXPECT_EQ(First.report().ChosenFormat, Second.report().ChosenFormat);
   EXPECT_EQ(First.report().KernelName, Second.report().KernelName);
-}
-
-TEST(GuardrailReportTest, GuardrailOptOutSkipsTheBaseline) {
-  CsrMatrix<double> A = banded(1200, 2);
-  Smat<double> Tuner(strictModel());
-  TuneOptions Opts = fastTune();
-  Opts.Guardrail = false;
-
-  TunedSpmv<double> Op = Tuner.tune(A, Opts);
-  const TuningReport &R = Op.report();
-  EXPECT_DOUBLE_EQ(R.BaselineGflops, 0.0);
-  EXPECT_FALSE(R.GuardrailEngaged);
-  for (const MeasuredCandidate &C : R.MeasuredCandidates)
-    EXPECT_FALSE(C.IsBaseline);
-  expectSpmvMatches(Op, A);
 }
 
 TEST(GuardrailReportTest, EngagementCounterMatchesTheReports) {
@@ -412,9 +434,10 @@ TEST(NeverSlowerFaultTest, RaceSurvivesCooCandidateFault) {
   Cfg.AlwaysSites = {"measure.kernel.COO"};
   FaultScope Scope(Cfg);
   // The cost model would prune COO from this imbalance-bound race before
-  // the fault site is reached; disable it so the faulted path actually runs.
+  // the fault site is reached; ForceMeasure races the full menu so the
+  // faulted path actually runs.
   TuneOptions Opts = fastTune();
-  Opts.CostModelPrune = false;
+  Opts.ForceMeasure = true;
   TunedSpmv<double> Op = Tuner.tune(A, Opts);
   EXPECT_NE(Op.format(), FormatKind::COO)
       << "a candidate whose measurement faults must not be selected";

@@ -149,23 +149,33 @@ void expectBatchedMatchesApply(const FormatOperator<double> &Op,
   }
 }
 
+/// Every SpMM width bucket pointed past the basic entry, by name as a
+/// scoreboard search records it, so the register-tiled variants are what
+/// multiply() dispatches to (the bind falls back to basic when a
+/// precondition fails).
+KernelSelection tiledSpmmPicks() {
+  const KernelTable<double> &Kernels = kernelTable<double>();
+  // Indexed by FormatKind; BSR has no SpMM family and stays unsearched.
+  const char *Tiled[NumFormats] = {
+      Kernels.CsrSpmm[1].Name, Kernels.CooSpmm[1].Name,
+      Kernels.DiaSpmm[1].Name, Kernels.EllSpmm[1].Name, ""};
+  KernelSelection Sel;
+  for (std::size_t F = 0; F != static_cast<std::size_t>(NumFormats); ++F)
+    Sel.BestSpmmKernelName[F].fill(Tiled[F]);
+  Sel.resolveNames(Kernels);
+  return Sel;
+}
+
 } // namespace
 
 TEST_P(MatrixProperties, BatchedMultiplyMatchesRepeatedApply) {
   CsrMatrix<double> A = seededMatrix(GetParam());
-  // Point every SpMM pick past the basic entry so the register-tiled
-  // variants are what multiply() dispatches to (the bind clamps and falls
-  // back to basic when a family has no such member or a precondition fails).
-  KernelSelection Sel;
-  for (int F = 0; F < NumFormats; ++F)
-    for (int W = 0; W < NumSpmmWidths; ++W)
-      Sel.BestSpmmKernel[static_cast<std::size_t>(F)]
-                        [static_cast<std::size_t>(W)] = 1;
+  KernelSelection Sel = tiledSpmmPicks();
   for (FormatKind Kind : {FormatKind::CSR, FormatKind::COO, FormatKind::DIA,
                           FormatKind::ELL, FormatKind::BSR}) {
     auto Op = bindFormatOperator(A, Kind, Sel, CsrStorage::Borrowed,
                                  static_cast<CsrMatrix<double> *>(nullptr),
-                                 /*CsrKernelOverride=*/-1, /*BatchWidth=*/8);
+                                 /*RowCv=*/0.0, /*BatchWidth=*/8);
     ASSERT_TRUE(Op);
     SCOPED_TRACE(std::string("requested format ") +
                  std::string(formatName(Kind)) + ", bound " +
@@ -183,10 +193,7 @@ TEST(BatchedTuneTest, TunedMultiplyMatchesIndependentSpmv) {
   Model.refreshRuleMetadata();
   // Give the width buckets register-tiled picks, as a scoreboard search
   // would (searchOptimalKernels is too slow for a unit test).
-  for (int F = 0; F < NumFormats; ++F)
-    for (int W = 0; W < NumSpmmWidths; ++W)
-      Model.Kernels.BestSpmmKernel[static_cast<std::size_t>(F)]
-                                  [static_cast<std::size_t>(W)] = 1;
+  Model.Kernels = tiledSpmmPicks();
   const Smat<double> Tuner(Model);
 
   std::vector<std::pair<std::string, CsrMatrix<double>>> Mats;

@@ -312,8 +312,9 @@ TEST(DegradationLadderTest, NoisyTimerInjectionIsReportedNotFatal) {
   // Race the full format menu: each measured candidate is an independent
   // 3-sample spread check, and the noisy verdict is the OR over all of them.
   // The cost model would prune this banded matrix to {DIA, CSR}, leaving too
-  // few sample sets for the seeded noise to flag reliably.
-  Opts.CostModelPrune = false;
+  // few sample sets for the seeded noise to flag reliably; ForceMeasure
+  // races without pruning.
+  Opts.ForceMeasure = true;
   auto Result = Tuner.tryTune(A, Opts);
   ASSERT_TRUE(Result.ok()) << Result.status().message();
   EXPECT_TRUE(Result->report().NoisyTimings);

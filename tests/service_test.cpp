@@ -7,7 +7,7 @@
 // The tuning-as-a-service contract (DESIGN.md section 16): tuneAsync returns
 // a handle that serves correct SpMV from call #1 on basic CSR, a background
 // worker swaps the tuned plan in atomically, every worker failure parks the
-// handle on basic CSR (correct, never a crash), the sharded PlanCache stays
+// handle on basic CSR (correct, never a crash), the PlanCache stays
 // race-free under singleflight/eviction/persistence contention, snapshots
 // round-trip across service instances, and model hot-reload invalidates
 // stale cached plans via the generation stamp. The whole suite is run under
@@ -236,17 +236,38 @@ TEST(TuningServiceTest, ResilienceCountersNeverTearMidTune) {
 
 // --- Concurrent PlanCache: singleflight vs eviction vs persistence ----------
 
-TEST(PlanCacheConcurrencyTest, ShardCountAdaptsToCapacity) {
-  EXPECT_EQ(PlanCache(2).shards(), 1u);   // exact global LRU for tiny caches
-  EXPECT_EQ(PlanCache(63).shards(), 1u);
-  EXPECT_EQ(PlanCache(64).shards(), 8u);
-  EXPECT_EQ(PlanCache(1024).shards(), 8u);
-  EXPECT_GE(PlanCache(1024).capacity(), 1024u);
+TEST(PlanCacheConcurrencyTest, DefaultCapacityEvictsInExactLruOrder) {
+  // At the service's default capacity the cache holds exactly Capacity
+  // plans and evicts the globally least recently used one — no per-slice
+  // capacity split that evicts early or out of order.
+  PlanCache Cache;
+  const std::size_t Capacity = Cache.capacity();
+  EXPECT_EQ(Capacity, 1024u);
+  auto Key = [](std::size_t I) {
+    PlanFingerprint Fp;
+    Fp.RowsLog2 = static_cast<std::int16_t>(I % 256);
+    Fp.ColsLog2 = static_cast<std::int16_t>(I / 256);
+    return Fp;
+  };
+  for (std::size_t I = 0; I < Capacity; ++I)
+    Cache.insert(Key(I), CachedPlan{});
+  EXPECT_EQ(Cache.size(), Capacity);
+  EXPECT_EQ(Cache.stats().Evictions, 0u);
+
+  CachedPlan Plan;
+  ASSERT_TRUE(Cache.lookup(Key(0), Plan)); // entry 1 is now the LRU one
+  Cache.insert(Key(Capacity), CachedPlan{});
+  EXPECT_EQ(Cache.size(), Capacity);
+  EXPECT_EQ(Cache.stats().Evictions, 1u);
+  EXPECT_TRUE(Cache.lookup(Key(0), Plan));
+  EXPECT_FALSE(Cache.lookup(Key(1), Plan));
+  for (std::size_t I = 2; I <= Capacity; ++I)
+    EXPECT_TRUE(Cache.lookup(Key(I), Plan)) << I;
 }
 
 TEST(PlanCacheConcurrencyTest, SingleflightRacesLruEviction) {
   // Tiny cache: every insert is an eviction, and all traffic fights over
-  // one shard — the worst case for the lease/evict interleaving.
+  // two slots — the worst case for the lease/evict interleaving.
   PlanCache Cache(2);
   constexpr int NumThreads = 4;
   constexpr int NumOps = 400;
@@ -289,7 +310,7 @@ TEST(PlanCacheConcurrencyTest, SingleflightRacesLruEviction) {
 TEST(PlanCacheConcurrencyTest, SingleflightRacesSnapshotSaveAndLoad) {
   const std::string Path = tempPath("plancache_race_snapshot.txt");
   std::remove(Path.c_str());
-  PlanCache Cache(128); // sharded
+  PlanCache Cache(128);
   std::atomic<bool> Stop{false};
 
   // Persistence thread: continuously snapshot and reload the live cache.
