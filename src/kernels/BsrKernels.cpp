@@ -23,30 +23,38 @@
 namespace smat {
 namespace {
 
-/// Generic block multiply with full edge clamping; correct for any
-/// BlockSize. All other variants fall back to this for edge blocks.
+/// Generic multiply of block row \p Br with full edge clamping; correct for
+/// any BlockSize.
+template <typename T>
+SMAT_ALWAYS_INLINE void bsrBlockRow(const BsrMatrix<T> &A,
+                                    const T *SMAT_RESTRICT X,
+                                    T *SMAT_RESTRICT Y, index_t Br) {
+  index_t B = A.BlockSize;
+  index_t RowBase = Br * B;
+  index_t RowsHere = std::min(B, A.NumRows - RowBase);
+  for (index_t R = 0; R < RowsHere; ++R)
+    Y[RowBase + R] = T(0);
+  for (index_t I = A.RowPtr[Br]; I < A.RowPtr[Br + 1]; ++I) {
+    index_t ColBase = A.ColIdx[I] * B;
+    index_t ColsHere = std::min(B, A.NumCols - ColBase);
+    const T *SMAT_RESTRICT Block =
+        A.Values.data() + static_cast<std::size_t>(I) * B * B;
+    for (index_t R = 0; R < RowsHere; ++R) {
+      T Sum = T(0);
+      for (index_t C = 0; C < ColsHere; ++C)
+        Sum += Block[R * B + C] * X[ColBase + C];
+      Y[RowBase + R] += Sum;
+    }
+  }
+}
+
+/// Generic kernel; the other variants fall back to it for block sizes they
+/// do not specialize.
 template <typename T>
 void bsrBasic(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
               T *SMAT_RESTRICT Y) {
-  index_t B = A.BlockSize;
-  for (index_t Br = 0; Br < A.numBlockRows(); ++Br) {
-    index_t RowBase = Br * B;
-    index_t RowsHere = std::min(B, A.NumRows - RowBase);
-    for (index_t R = 0; R < RowsHere; ++R)
-      Y[RowBase + R] = T(0);
-    for (index_t I = A.RowPtr[Br]; I < A.RowPtr[Br + 1]; ++I) {
-      index_t ColBase = A.ColIdx[I] * B;
-      index_t ColsHere = std::min(B, A.NumCols - ColBase);
-      const T *SMAT_RESTRICT Block =
-          A.Values.data() + static_cast<std::size_t>(I) * B * B;
-      for (index_t R = 0; R < RowsHere; ++R) {
-        T Sum = T(0);
-        for (index_t C = 0; C < ColsHere; ++C)
-          Sum += Block[R * B + C] * X[ColBase + C];
-        Y[RowBase + R] += Sum;
-      }
-    }
-  }
+  for (index_t Br = 0; Br < A.numBlockRows(); ++Br)
+    bsrBlockRow(A, X, Y, Br);
 }
 
 /// Compile-time block size: the block multiply fully unrolls and X values
@@ -116,89 +124,14 @@ void bsrUnrolled(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
   }
 }
 
-/// SIMD-annotated block rows (vectorizes the inner block multiply).
-template <typename T>
-void bsrSimd(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-             T *SMAT_RESTRICT Y) {
-  index_t B = A.BlockSize;
-  for (index_t Br = 0; Br < A.numBlockRows(); ++Br) {
-    index_t RowBase = Br * B;
-    index_t RowsHere = std::min(B, A.NumRows - RowBase);
-    for (index_t R = 0; R < RowsHere; ++R)
-      Y[RowBase + R] = T(0);
-    for (index_t I = A.RowPtr[Br]; I < A.RowPtr[Br + 1]; ++I) {
-      index_t ColBase = A.ColIdx[I] * B;
-      index_t ColsHere = std::min(B, A.NumCols - ColBase);
-      const T *SMAT_RESTRICT Block =
-          A.Values.data() + static_cast<std::size_t>(I) * B * B;
-      for (index_t R = 0; R < RowsHere; ++R) {
-        T Sum = T(0);
-#pragma omp simd reduction(+ : Sum)
-        for (index_t C = 0; C < ColsHere; ++C)
-          Sum += Block[R * B + C] * X[ColBase + C];
-        Y[RowBase + R] += Sum;
-      }
-    }
-  }
-}
-
 /// Threaded over block rows (disjoint Y ranges).
 template <typename T>
 void bsrOmp(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
             T *SMAT_RESTRICT Y) {
-  index_t B = A.BlockSize;
   index_t BlockRows = A.numBlockRows();
 #pragma omp parallel for schedule(static)
-  for (index_t Br = 0; Br < BlockRows; ++Br) {
-    index_t RowBase = Br * B;
-    index_t RowsHere = std::min(B, A.NumRows - RowBase);
-    for (index_t R = 0; R < RowsHere; ++R)
-      Y[RowBase + R] = T(0);
-    for (index_t I = A.RowPtr[Br]; I < A.RowPtr[Br + 1]; ++I) {
-      index_t ColBase = A.ColIdx[I] * B;
-      index_t ColsHere = std::min(B, A.NumCols - ColBase);
-      const T *SMAT_RESTRICT Block =
-          A.Values.data() + static_cast<std::size_t>(I) * B * B;
-      for (index_t R = 0; R < RowsHere; ++R) {
-        T Sum = T(0);
-        for (index_t C = 0; C < ColsHere; ++C)
-          Sum += Block[R * B + C] * X[ColBase + C];
-        Y[RowBase + R] += Sum;
-      }
-    }
-  }
-}
-
-/// Generic loop with software prefetch of the next blocks' values and X
-/// slices.
-template <typename T>
-void bsrPrefetch(const BsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-                 T *SMAT_RESTRICT Y) {
-  index_t B = A.BlockSize;
-  std::int64_t Blocks = A.numBlocks();
-  for (index_t Br = 0; Br < A.numBlockRows(); ++Br) {
-    index_t RowBase = Br * B;
-    index_t RowsHere = std::min(B, A.NumRows - RowBase);
-    for (index_t R = 0; R < RowsHere; ++R)
-      Y[RowBase + R] = T(0);
-    for (index_t I = A.RowPtr[Br]; I < A.RowPtr[Br + 1]; ++I) {
-      if (I + 2 < Blocks) {
-        __builtin_prefetch(
-            A.Values.data() + static_cast<std::size_t>(I + 2) * B * B, 0, 0);
-        __builtin_prefetch(&X[A.ColIdx[I + 2] * B], 0, 0);
-      }
-      index_t ColBase = A.ColIdx[I] * B;
-      index_t ColsHere = std::min(B, A.NumCols - ColBase);
-      const T *SMAT_RESTRICT Block =
-          A.Values.data() + static_cast<std::size_t>(I) * B * B;
-      for (index_t R = 0; R < RowsHere; ++R) {
-        T Sum = T(0);
-        for (index_t C = 0; C < ColsHere; ++C)
-          Sum += Block[R * B + C] * X[ColBase + C];
-        Y[RowBase + R] += Sum;
-      }
-    }
-  }
+  for (index_t Br = 0; Br < BlockRows; ++Br)
+    bsrBlockRow(A, X, Y, Br);
 }
 
 } // namespace
@@ -209,9 +142,7 @@ std::vector<smat::Kernel<smat::BsrKernelFn<T>>> smat::makeBsrKernels() {
   return {
       {"bsr_basic", OptNone, &bsrBasic<T>},
       {"bsr_unrolled", OptUnroll, &bsrUnrolled<T>},
-      {"bsr_simd", OptSimd, &bsrSimd<T>},
       {"bsr_omp", OptThreads, &bsrOmp<T>},
-      {"bsr_prefetch", OptPrefetch, &bsrPrefetch<T>},
   };
 }
 

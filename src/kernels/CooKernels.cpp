@@ -92,23 +92,6 @@ void cooSegmented(const CooMatrix<T> &A, const T *SMAT_RESTRICT X,
   Y[Current] += Sum;
 }
 
-/// Prefetches the X gather stream.
-template <typename T>
-void cooPrefetch(const CooMatrix<T> &A, const T *SMAT_RESTRICT X,
-                 T *SMAT_RESTRICT Y) {
-  zeroOut(Y, A.NumRows);
-  std::int64_t Nnz = A.nnz();
-  constexpr std::int64_t Distance = 64;
-  const index_t *SMAT_RESTRICT Rows = A.Rows.data();
-  const index_t *SMAT_RESTRICT Cols = A.Cols.data();
-  const T *SMAT_RESTRICT Val = A.Values.data();
-  for (std::int64_t I = 0; I < Nnz; ++I) {
-    if (I + Distance < Nnz)
-      __builtin_prefetch(&X[Cols[I + Distance]], 0, 0);
-    Y[Rows[I]] += Val[I] * X[Cols[I]];
-  }
-}
-
 /// Splits the nonzero stream into per-thread chunks whose boundaries are
 /// snapped to row transitions, so every thread writes a disjoint Y range.
 /// Requires monotone row indices (declared as PrecondMonotoneRows at
@@ -229,7 +212,6 @@ std::vector<smat::Kernel<smat::CooKernelFn<T>>> smat::makeCooKernels() {
       {"coo_basic", OptNone, &cooBasic<T>},
       {"coo_unroll4", OptUnroll, &cooUnroll4<T>},
       {"coo_segmented", OptBranchFree, &cooSegmented<T>},
-      {"coo_prefetch", OptPrefetch, &cooPrefetch<T>},
       {"coo_omp_rowsplit", OptThreads, &cooOmpRowSplit<T>,
        PrecondMonotoneRows},
   };

@@ -38,15 +38,15 @@ void csrBasic(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
   }
 }
 
-/// Four independent accumulators hide the FMA latency chain.
-template <typename T>
-void csrUnroll4(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-                T *SMAT_RESTRICT Y) {
-  const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
-  const T *SMAT_RESTRICT Val = A.Values.data();
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1];
-    T S0 = T(0), S1 = T(0), S2 = T(0), S3 = T(0);
+/// Dot product of the entries [I, E) with X. \p Unroll keeps four
+/// independent accumulators to hide the FMA latency chain.
+template <bool Unroll, typename T>
+SMAT_ALWAYS_INLINE T csrRowDot(const index_t *SMAT_RESTRICT Col,
+                               const T *SMAT_RESTRICT Val, index_t I,
+                               index_t E, const T *SMAT_RESTRICT X) {
+  T S0 = T(0);
+  if constexpr (Unroll) {
+    T S1 = T(0), S2 = T(0), S3 = T(0);
     for (; I + 3 < E; I += 4) {
       S0 += Val[I + 0] * X[Col[I + 0]];
       S1 += Val[I + 1] * X[Col[I + 1]];
@@ -55,52 +55,21 @@ void csrUnroll4(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
     }
     for (; I < E; ++I)
       S0 += Val[I] * X[Col[I]];
-    Y[Row] = (S0 + S1) + (S2 + S3);
+    return (S0 + S1) + (S2 + S3);
   }
+  for (; I < E; ++I)
+    S0 += Val[I] * X[Col[I]];
+  return S0;
 }
 
-/// Software-prefetches the column/value streams a fixed distance ahead.
-/// Entries at I >= Nnz - Distance have no in-bounds prefetch target, so each
-/// row is split at that point into a prefetching main loop and a plain tail
-/// instead of paying a bounds check on every nonzero.
+/// Serial row loop over the unrolled row dot (the plain one is csrBasic).
 template <typename T>
-void csrPrefetch(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-                 T *SMAT_RESTRICT Y) {
-  constexpr index_t Distance = 64;
+void csrUnroll4(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
+                T *SMAT_RESTRICT Y) {
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
-  index_t Nnz = static_cast<index_t>(A.nnz());
-  const index_t PrefetchEnd = Nnz > Distance ? Nnz - Distance : 0;
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    T Sum = T(0);
-    index_t I = A.RowPtr[Row];
-    const index_t E = A.RowPtr[Row + 1];
-    for (index_t P = std::min(E, PrefetchEnd); I < P; ++I) {
-      __builtin_prefetch(&Val[I + Distance], 0, 0);
-      __builtin_prefetch(&Col[I + Distance], 0, 0);
-      __builtin_prefetch(&X[Col[I + Distance]], 0, 0);
-      Sum += Val[I] * X[Col[I]];
-    }
-    for (; I < E; ++I)
-      Sum += Val[I] * X[Col[I]];
-    Y[Row] = Sum;
-  }
-}
-
-/// Compiler-driven vectorization of the row reduction.
-template <typename T>
-void csrSimd(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-             T *SMAT_RESTRICT Y) {
-  const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
-  const T *SMAT_RESTRICT Val = A.Values.data();
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    T Sum = T(0);
-    index_t Begin = A.RowPtr[Row], End = A.RowPtr[Row + 1];
-#pragma omp simd reduction(+ : Sum)
-    for (index_t I = Begin; I < End; ++I)
-      Sum += Val[I] * X[Col[I]];
-    Y[Row] = Sum;
-  }
+  for (index_t Row = 0; Row < A.NumRows; ++Row)
+    Y[Row] = csrRowDot<true>(Col, Val, A.RowPtr[Row], A.RowPtr[Row + 1], X);
 }
 
 #if defined(__AVX2__)
@@ -199,34 +168,16 @@ void csrAvx512F(const CsrMatrix<float> &A, const float *SMAT_RESTRICT X,
 }
 #endif // __AVX512F__
 
-/// Guided scheduling: a third threading policy for skewed degree mixes.
-template <typename T>
-void csrOmpGuided(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
-                  T *SMAT_RESTRICT Y) {
-  const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
-  const T *SMAT_RESTRICT Val = A.Values.data();
-#pragma omp parallel for schedule(guided)
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    T Sum = T(0);
-    for (index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1]; I < E; ++I)
-      Sum += Val[I] * X[Col[I]];
-    Y[Row] = Sum;
-  }
-}
-
-/// Static row partitioning across threads.
-template <typename T>
+/// Static row partitioning across threads, with or without the unrolled
+/// accumulators.
+template <typename T, bool Unroll>
 void csrOmpStatic(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
                   T *SMAT_RESTRICT Y) {
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
 #pragma omp parallel for schedule(static)
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    T Sum = T(0);
-    for (index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1]; I < E; ++I)
-      Sum += Val[I] * X[Col[I]];
-    Y[Row] = Sum;
-  }
+  for (index_t Row = 0; Row < A.NumRows; ++Row)
+    Y[Row] = csrRowDot<Unroll>(Col, Val, A.RowPtr[Row], A.RowPtr[Row + 1], X);
 }
 
 /// Dynamic chunked scheduling: tolerates skewed row degrees.
@@ -236,34 +187,19 @@ void csrOmpDynamic(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
 #pragma omp parallel for schedule(dynamic, 256)
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    T Sum = T(0);
-    for (index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1]; I < E; ++I)
-      Sum += Val[I] * X[Col[I]];
-    Y[Row] = Sum;
-  }
+  for (index_t Row = 0; Row < A.NumRows; ++Row)
+    Y[Row] = csrRowDot<false>(Col, Val, A.RowPtr[Row], A.RowPtr[Row + 1], X);
 }
 
-/// Threads + unrolled accumulators.
+/// Guided scheduling: a third threading policy for skewed degree mixes.
 template <typename T>
-void csrOmpUnroll(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
+void csrOmpGuided(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
                   T *SMAT_RESTRICT Y) {
   const index_t *SMAT_RESTRICT Col = A.ColIdx.data();
   const T *SMAT_RESTRICT Val = A.Values.data();
-#pragma omp parallel for schedule(static)
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    index_t I = A.RowPtr[Row], E = A.RowPtr[Row + 1];
-    T S0 = T(0), S1 = T(0), S2 = T(0), S3 = T(0);
-    for (; I + 3 < E; I += 4) {
-      S0 += Val[I + 0] * X[Col[I + 0]];
-      S1 += Val[I + 1] * X[Col[I + 1]];
-      S2 += Val[I + 2] * X[Col[I + 2]];
-      S3 += Val[I + 3] * X[Col[I + 3]];
-    }
-    for (; I < E; ++I)
-      S0 += Val[I] * X[Col[I]];
-    Y[Row] = (S0 + S1) + (S2 + S3);
-  }
+#pragma omp parallel for schedule(guided)
+  for (index_t Row = 0; Row < A.NumRows; ++Row)
+    Y[Row] = csrRowDot<false>(Col, Val, A.RowPtr[Row], A.RowPtr[Row + 1], X);
 }
 
 inline int csrMaxThreads() {
@@ -300,15 +236,8 @@ void csrNnzSplit(const CsrMatrix<T> &A, const T *SMAT_RESTRICT X,
       std::min<std::int64_t>(csrMaxThreads(),
                              std::max<std::int64_t>(
                                  1, Nnz / MinEntriesPerChunk));
-  if (Chunks <= 1) {
-    for (index_t Row = 0; Row < M; ++Row) {
-      T Sum = T(0);
-      for (index_t I = RowPtr[Row], E = RowPtr[Row + 1]; I < E; ++I)
-        Sum += Val[I] * X[Col[I]];
-      Y[Row] = Sum;
-    }
-    return;
-  }
+  if (Chunks <= 1)
+    return csrBasic(A, X, Y);
 
   // Chunk t owns entries [Begin[t], Begin[t+1]) and rows [Split[t],
   // Split[t+1]): Split[t] is the row containing entry Begin[t] (the last
@@ -579,12 +508,10 @@ std::vector<smat::Kernel<smat::CsrKernelFn<T>>> smat::makeCsrKernels() {
   std::vector<Kernel<CsrKernelFn<T>>> Kernels = {
       {"csr_basic", OptNone, &csrBasic<T>},
       {"csr_unroll4", OptUnroll, &csrUnroll4<T>},
-      {"csr_simd", OptSimd, &csrSimd<T>},
-      {"csr_prefetch", OptPrefetch, &csrPrefetch<T>},
-      {"csr_omp_static", OptThreads, &csrOmpStatic<T>},
+      {"csr_omp_static", OptThreads, &csrOmpStatic<T, false>},
       {"csr_omp_dynamic", OptThreads | OptDynSchedule, &csrOmpDynamic<T>},
       {"csr_omp_guided", OptThreads | OptDynSchedule, &csrOmpGuided<T>},
-      {"csr_omp_unroll", OptThreads | OptUnroll, &csrOmpUnroll<T>},
+      {"csr_omp_unroll", OptThreads | OptUnroll, &csrOmpStatic<T, true>},
       {"csr_nnzsplit", OptThreads | OptLoadBalance, &csrNnzSplit<T>},
   };
 #if defined(__AVX2__)

@@ -24,85 +24,47 @@ void diaZero(T *SMAT_RESTRICT Y, index_t N) {
   std::memset(Y, 0, sizeof(T) * static_cast<std::size_t>(N));
 }
 
-template <typename T>
-void diaBasic(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
+/// Per-diagonal column sweep (paper Figure 2(c)) over two knobs: \p Simd
+/// requests explicit vectorization of the contiguous inner loop, \p Unroll
+/// processes two diagonals per pass so each Y element is loaded and stored
+/// half as often.
+template <typename T, bool Simd, bool Unroll>
+void diaSweep(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
               T *SMAT_RESTRICT Y) {
   diaZero(Y, A.NumRows);
-  index_t Stride = A.stride();
-  for (index_t D = 0; D < A.numDiags(); ++D) {
-    index_t K = A.Offsets[D];
-    index_t IStart = std::max(index_t(0), -K);
-    index_t JStart = std::max(index_t(0), K);
-    index_t N = std::min(A.NumRows - IStart, A.NumCols - JStart);
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride + IStart;
-    const T *SMAT_RESTRICT Xs = X + JStart;
-    T *SMAT_RESTRICT Ys = Y + IStart;
-    for (index_t I = 0; I < N; ++I)
-      Ys[I] += Data[I] * Xs[I];
-  }
-}
-
-/// Explicit vectorization request on the contiguous inner loop.
-template <typename T>
-void diaSimd(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
-             T *SMAT_RESTRICT Y) {
-  diaZero(Y, A.NumRows);
-  index_t Stride = A.stride();
-  for (index_t D = 0; D < A.numDiags(); ++D) {
-    index_t K = A.Offsets[D];
-    index_t IStart = std::max(index_t(0), -K);
-    index_t JStart = std::max(index_t(0), K);
-    index_t N = std::min(A.NumRows - IStart, A.NumCols - JStart);
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride + IStart;
-    const T *SMAT_RESTRICT Xs = X + JStart;
-    T *SMAT_RESTRICT Ys = Y + IStart;
-#pragma omp simd
-    for (index_t I = 0; I < N; ++I)
-      Ys[I] += Data[I] * Xs[I];
-  }
-}
-
-/// Processes two diagonals per pass so each Y element is loaded/stored half
-/// as often.
-template <typename T>
-void diaUnroll2(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
-                T *SMAT_RESTRICT Y) {
-  diaZero(Y, A.NumRows);
-  index_t Stride = A.stride();
+  const index_t Stride = A.stride();
+  auto Diag = [&](index_t D) {
+    return A.Data.data() + static_cast<std::size_t>(D) * Stride;
+  };
+  // Rows where diagonal offset K lands inside the matrix.
+  auto Lo = [](index_t K) { return std::max(index_t(0), -K); };
+  auto Hi = [&](index_t K) { return std::min(A.NumRows, A.NumCols - K); };
+  auto Single = [&](const T *SMAT_RESTRICT Data, index_t K, index_t Begin,
+                    index_t End) {
+    simdLoop<Simd>(Begin, End, [&](index_t I) { Y[I] += Data[I] * X[I + K]; });
+  };
   index_t D = 0;
-  for (; D + 1 < A.numDiags(); D += 2) {
-    index_t K0 = A.Offsets[D], K1 = A.Offsets[D + 1];
-    // Row range where *both* diagonals are in-bounds.
-    index_t IStart = std::max({index_t(0), -K0, -K1});
-    index_t IEnd = std::min({A.NumRows, A.NumCols - K0, A.NumCols - K1});
-    const T *SMAT_RESTRICT Data0 =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride;
-    const T *SMAT_RESTRICT Data1 =
-        A.Data.data() + static_cast<std::size_t>(D + 1) * Stride;
-    for (index_t I = IStart; I < IEnd; ++I)
-      Y[I] += Data0[I] * X[I + K0] + Data1[I] * X[I + K1];
-    // Head/tail rows where only one of the two diagonals is valid.
-    auto Edge = [&](index_t K, const T *SMAT_RESTRICT Data) {
-      index_t Lo = std::max(index_t(0), -K);
-      index_t Hi = std::min(A.NumRows, A.NumCols - K);
-      for (index_t I = Lo; I < std::min(IStart, Hi); ++I)
-        Y[I] += Data[I] * X[I + K];
-      for (index_t I = std::max(IEnd, Lo); I < Hi; ++I)
-        Y[I] += Data[I] * X[I + K];
-    };
-    Edge(K0, Data0);
-    Edge(K1, Data1);
+  if constexpr (Unroll) {
+    for (; D + 1 < A.numDiags(); D += 2) {
+      const index_t K0 = A.Offsets[D], K1 = A.Offsets[D + 1];
+      const T *SMAT_RESTRICT Data0 = Diag(D);
+      const T *SMAT_RESTRICT Data1 = Diag(D + 1);
+      // Row range where *both* diagonals are in-bounds.
+      const index_t IStart = std::max(Lo(K0), Lo(K1));
+      const index_t IEnd = std::min(Hi(K0), Hi(K1));
+      simdLoop<Simd>(IStart, IEnd, [&](index_t I) {
+        Y[I] += Data0[I] * X[I + K0] + Data1[I] * X[I + K1];
+      });
+      // Head/tail rows where only one of the two diagonals is valid.
+      Single(Data0, K0, Lo(K0), std::min(IStart, Hi(K0)));
+      Single(Data0, K0, std::max(IEnd, Lo(K0)), Hi(K0));
+      Single(Data1, K1, Lo(K1), std::min(IStart, Hi(K1)));
+      Single(Data1, K1, std::max(IEnd, Lo(K1)), Hi(K1));
+    }
   }
   for (; D < A.numDiags(); ++D) {
-    index_t K = A.Offsets[D];
-    index_t Lo = std::max(index_t(0), -K);
-    index_t Hi = std::min(A.NumRows, A.NumCols - K);
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride;
-    for (index_t I = Lo; I < Hi; ++I)
-      Y[I] += Data[I] * X[I + K];
+    const index_t K = A.Offsets[D];
+    Single(Diag(D), K, Lo(K), Hi(K));
   }
 }
 
@@ -125,79 +87,12 @@ void diaOmpRows(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
   }
 }
 
-/// SIMD + unroll combination.
-template <typename T>
-void diaSimdUnroll2(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
-                    T *SMAT_RESTRICT Y) {
-  diaZero(Y, A.NumRows);
-  index_t Stride = A.stride();
-  index_t D = 0;
-  for (; D + 1 < A.numDiags(); D += 2) {
-    index_t K0 = A.Offsets[D], K1 = A.Offsets[D + 1];
-    index_t IStart = std::max({index_t(0), -K0, -K1});
-    index_t IEnd = std::min({A.NumRows, A.NumCols - K0, A.NumCols - K1});
-    const T *SMAT_RESTRICT Data0 =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride;
-    const T *SMAT_RESTRICT Data1 =
-        A.Data.data() + static_cast<std::size_t>(D + 1) * Stride;
-#pragma omp simd
-    for (index_t I = IStart; I < IEnd; ++I)
-      Y[I] += Data0[I] * X[I + K0] + Data1[I] * X[I + K1];
-    auto Edge = [&](index_t K, const T *SMAT_RESTRICT Data) {
-      index_t Lo = std::max(index_t(0), -K);
-      index_t Hi = std::min(A.NumRows, A.NumCols - K);
-      for (index_t I = Lo; I < std::min(IStart, Hi); ++I)
-        Y[I] += Data[I] * X[I + K];
-      for (index_t I = std::max(IEnd, Lo); I < Hi; ++I)
-        Y[I] += Data[I] * X[I + K];
-    };
-    Edge(K0, Data0);
-    Edge(K1, Data1);
-  }
-  for (; D < A.numDiags(); ++D) {
-    index_t K = A.Offsets[D];
-    index_t Lo = std::max(index_t(0), -K);
-    index_t Hi = std::min(A.NumRows, A.NumCols - K);
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride;
-#pragma omp simd
-    for (index_t I = Lo; I < Hi; ++I)
-      Y[I] += Data[I] * X[I + K];
-  }
-}
-
-/// Prefetches the diagonal data and X streams a fixed distance ahead.
-template <typename T>
-void diaPrefetch(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
-                 T *SMAT_RESTRICT Y) {
-  diaZero(Y, A.NumRows);
-  constexpr index_t Distance = 64;
-  index_t Stride = A.stride();
-  for (index_t D = 0; D < A.numDiags(); ++D) {
-    index_t K = A.Offsets[D];
-    index_t IStart = std::max(index_t(0), -K);
-    index_t JStart = std::max(index_t(0), K);
-    index_t N = std::min(A.NumRows - IStart, A.NumCols - JStart);
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(D) * Stride + IStart;
-    const T *SMAT_RESTRICT Xs = X + JStart;
-    T *SMAT_RESTRICT Ys = Y + IStart;
-    for (index_t I = 0; I < N; ++I) {
-      if (I + Distance < N) {
-        __builtin_prefetch(&Data[I + Distance], 0, 0);
-        __builtin_prefetch(&Xs[I + Distance], 0, 0);
-      }
-      Ys[I] += Data[I] * Xs[I];
-    }
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // SpMM (multi-RHS) kernels: X row-major NumCols x K, Y row-major NumRows x K.
 //===----------------------------------------------------------------------===//
 
 /// Strategy-free batched DIA: diagonal-major streaming with a runtime-K
-/// inner loop, mirroring diaBasic.
+/// inner loop, mirroring dia_basic.
 template <typename T>
 void diaSpmmBasic(const DiaMatrix<T> &A, const T *SMAT_RESTRICT X,
                   T *SMAT_RESTRICT Y, index_t K) {
@@ -309,12 +204,11 @@ void diaSpmmOmpRows(const DiaMatrix<T> &A, const T *X, T *Y, index_t K) {
 template <typename T>
 std::vector<smat::Kernel<smat::DiaKernelFn<T>>> smat::makeDiaKernels() {
   return {
-      {"dia_basic", OptNone, &diaBasic<T>},
-      {"dia_simd", OptSimd, &diaSimd<T>},
-      {"dia_unroll2", OptUnroll, &diaUnroll2<T>},
+      {"dia_basic", OptNone, &diaSweep<T, false, false>},
+      {"dia_simd", OptSimd, &diaSweep<T, true, false>},
+      {"dia_unroll2", OptUnroll, &diaSweep<T, false, true>},
       {"dia_omp_rows", OptThreads, &diaOmpRows<T>},
-      {"dia_simd_unroll2", OptSimd | OptUnroll, &diaSimdUnroll2<T>},
-      {"dia_prefetch", OptPrefetch, &diaPrefetch<T>},
+      {"dia_simd_unroll2", OptSimd | OptUnroll, &diaSweep<T, true, true>},
   };
 }
 

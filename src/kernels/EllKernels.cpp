@@ -24,76 +24,60 @@ void ellZero(T *SMAT_RESTRICT Y, index_t N) {
   std::memset(Y, 0, sizeof(T) * static_cast<std::size_t>(N));
 }
 
-template <typename T>
-void ellBasic(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
+/// Column-major sweep of the packed matrix (paper Figure 2(d)) over two
+/// knobs: \p Simd requests explicit vectorization of the row loop
+/// (contiguous loads from Data/Indices, gather from X), \p Unroll takes two
+/// packed columns per sweep, halving Y traffic.
+template <typename T, bool Simd, bool Unroll>
+void ellSweep(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
               T *SMAT_RESTRICT Y) {
   ellZero(Y, A.NumRows);
-  for (index_t C = 0; C < A.Width; ++C) {
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const index_t *SMAT_RESTRICT Idx =
-        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-    for (index_t Row = 0; Row < A.NumRows; ++Row)
-      Y[Row] += Data[Row] * X[Idx[Row]];
+  const index_t M = A.NumRows;
+  auto Data = [&](index_t C) {
+    return A.Data.data() + static_cast<std::size_t>(C) * M;
+  };
+  auto Idx = [&](index_t C) {
+    return A.Indices.data() + static_cast<std::size_t>(C) * M;
+  };
+  index_t C = 0;
+  if constexpr (Unroll) {
+    for (; C + 1 < A.Width; C += 2) {
+      const T *SMAT_RESTRICT Data0 = Data(C);
+      const T *SMAT_RESTRICT Data1 = Data0 + M;
+      const index_t *SMAT_RESTRICT Idx0 = Idx(C);
+      const index_t *SMAT_RESTRICT Idx1 = Idx0 + M;
+      simdLoop<Simd>(index_t(0), M, [&](index_t Row) {
+        Y[Row] += Data0[Row] * X[Idx0[Row]] + Data1[Row] * X[Idx1[Row]];
+      });
+    }
+  }
+  for (; C < A.Width; ++C) {
+    const T *SMAT_RESTRICT Data0 = Data(C);
+    const index_t *SMAT_RESTRICT Idx0 = Idx(C);
+    simdLoop<Simd>(index_t(0), M, [&](index_t Row) {
+      Y[Row] += Data0[Row] * X[Idx0[Row]];
+    });
   }
 }
 
-/// Explicit vectorization of the column-major pass (contiguous loads from
-/// Data/Indices, gather from X).
+/// Loop interchange: row \p Row's dot product over the packed width (one Y
+/// store per row, strided loads from the packed matrix).
 template <typename T>
-void ellSimd(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
-             T *SMAT_RESTRICT Y) {
-  ellZero(Y, A.NumRows);
+SMAT_ALWAYS_INLINE T ellRowDot(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
+                               index_t Row) {
+  T Sum = T(0);
   for (index_t C = 0; C < A.Width; ++C) {
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const index_t *SMAT_RESTRICT Idx =
-        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-#pragma omp simd
-    for (index_t Row = 0; Row < A.NumRows; ++Row)
-      Y[Row] += Data[Row] * X[Idx[Row]];
+    std::size_t I = static_cast<std::size_t>(C) * A.NumRows + Row;
+    Sum += A.Data[I] * X[A.Indices[I]];
   }
+  return Sum;
 }
 
-/// Loop interchange: per-row accumulation (one Y store per row, strided
-/// loads from the packed matrix).
 template <typename T>
 void ellRowMajor(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
                  T *SMAT_RESTRICT Y) {
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    T Sum = T(0);
-    for (index_t C = 0; C < A.Width; ++C) {
-      std::size_t I = static_cast<std::size_t>(C) * A.NumRows + Row;
-      Sum += A.Data[I] * X[A.Indices[I]];
-    }
-    Y[Row] = Sum;
-  }
-}
-
-/// Column-major pass with two packed columns per sweep: halves Y traffic.
-template <typename T>
-void ellUnroll2(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
-                T *SMAT_RESTRICT Y) {
-  ellZero(Y, A.NumRows);
-  index_t C = 0;
-  for (; C + 1 < A.Width; C += 2) {
-    const T *SMAT_RESTRICT Data0 =
-        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const T *SMAT_RESTRICT Data1 = Data0 + A.NumRows;
-    const index_t *SMAT_RESTRICT Idx0 =
-        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const index_t *SMAT_RESTRICT Idx1 = Idx0 + A.NumRows;
-    for (index_t Row = 0; Row < A.NumRows; ++Row)
-      Y[Row] += Data0[Row] * X[Idx0[Row]] + Data1[Row] * X[Idx1[Row]];
-  }
-  for (; C < A.Width; ++C) {
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const index_t *SMAT_RESTRICT Idx =
-        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-    for (index_t Row = 0; Row < A.NumRows; ++Row)
-      Y[Row] += Data[Row] * X[Idx[Row]];
-  }
+  for (index_t Row = 0; Row < A.NumRows; ++Row)
+    Y[Row] = ellRowDot(A, X, Row);
 }
 
 /// Row-partitioned threading over the interchange (row-major) loop.
@@ -101,42 +85,8 @@ template <typename T>
 void ellOmpRows(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
                 T *SMAT_RESTRICT Y) {
 #pragma omp parallel for schedule(static)
-  for (index_t Row = 0; Row < A.NumRows; ++Row) {
-    T Sum = T(0);
-    for (index_t C = 0; C < A.Width; ++C) {
-      std::size_t I = static_cast<std::size_t>(C) * A.NumRows + Row;
-      Sum += A.Data[I] * X[A.Indices[I]];
-    }
-    Y[Row] = Sum;
-  }
-}
-
-/// SIMD + unrolled column-major combination.
-template <typename T>
-void ellSimdUnroll2(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
-                    T *SMAT_RESTRICT Y) {
-  ellZero(Y, A.NumRows);
-  index_t C = 0;
-  for (; C + 1 < A.Width; C += 2) {
-    const T *SMAT_RESTRICT Data0 =
-        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const T *SMAT_RESTRICT Data1 = Data0 + A.NumRows;
-    const index_t *SMAT_RESTRICT Idx0 =
-        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const index_t *SMAT_RESTRICT Idx1 = Idx0 + A.NumRows;
-#pragma omp simd
-    for (index_t Row = 0; Row < A.NumRows; ++Row)
-      Y[Row] += Data0[Row] * X[Idx0[Row]] + Data1[Row] * X[Idx1[Row]];
-  }
-  for (; C < A.Width; ++C) {
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const index_t *SMAT_RESTRICT Idx =
-        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-#pragma omp simd
-    for (index_t Row = 0; Row < A.NumRows; ++Row)
-      Y[Row] += Data[Row] * X[Idx[Row]];
-  }
+  for (index_t Row = 0; Row < A.NumRows; ++Row)
+    Y[Row] = ellRowDot(A, X, Row);
 }
 
 /// Row slice size of the sliced (load-balanced) kernels: big enough to keep
@@ -144,31 +94,38 @@ void ellSimdUnroll2(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
 /// only pads its own slice.
 constexpr index_t EllSliceRows = 64;
 
-/// Sliced ELL (SELL-style): rows are processed in slices of EllSliceRows;
-/// each slice sweeps only up to its own longest row (from the RowLen
-/// sidecar, PrecondRowLengths) instead of the global padded Width, so a few
-/// long rows no longer drag every slice through their padding columns.
+/// Sliced ELL (SELL-style) slice \p Slice: sweeps only up to the slice's own
+/// longest row (from the RowLen sidecar, PrecondRowLengths) instead of the
+/// global padded Width, so a few long rows no longer drag every slice
+/// through their padding columns.
+template <typename T>
+SMAT_ALWAYS_INLINE void ellSlice(const EllMatrix<T> &A,
+                                 const T *SMAT_RESTRICT X, T *SMAT_RESTRICT Y,
+                                 index_t Slice) {
+  const index_t *SMAT_RESTRICT RowLen = A.RowLen.data();
+  index_t SliceBegin = Slice * EllSliceRows;
+  index_t SliceEnd = std::min<index_t>(SliceBegin + EllSliceRows, A.NumRows);
+  index_t SliceWidth = 0;
+  for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
+    SliceWidth = std::max(SliceWidth, RowLen[Row]);
+  for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
+    Y[Row] = T(0);
+  for (index_t C = 0; C < SliceWidth; ++C) {
+    const T *SMAT_RESTRICT Data =
+        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
+    const index_t *SMAT_RESTRICT Idx =
+        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
+    for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
+      Y[Row] += Data[Row] * X[Idx[Row]];
+  }
+}
+
 template <typename T>
 void ellSliced(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
                T *SMAT_RESTRICT Y) {
-  const index_t *SMAT_RESTRICT RowLen = A.RowLen.data();
-  for (index_t SliceBegin = 0; SliceBegin < A.NumRows;
-       SliceBegin += EllSliceRows) {
-    index_t SliceEnd = std::min<index_t>(SliceBegin + EllSliceRows, A.NumRows);
-    index_t SliceWidth = 0;
-    for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
-      SliceWidth = std::max(SliceWidth, RowLen[Row]);
-    for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
-      Y[Row] = T(0);
-    for (index_t C = 0; C < SliceWidth; ++C) {
-      const T *SMAT_RESTRICT Data =
-          A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-      const index_t *SMAT_RESTRICT Idx =
-          A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-      for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
-        Y[Row] += Data[Row] * X[Idx[Row]];
-    }
-  }
+  index_t NumSlices = (A.NumRows + EllSliceRows - 1) / EllSliceRows;
+  for (index_t Slice = 0; Slice < NumSlices; ++Slice)
+    ellSlice(A, X, Y, Slice);
 }
 
 /// Threaded sliced ELL: slices are independent and their work is bounded by
@@ -176,45 +133,10 @@ void ellSliced(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
 template <typename T>
 void ellSlicedOmp(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
                   T *SMAT_RESTRICT Y) {
-  const index_t *SMAT_RESTRICT RowLen = A.RowLen.data();
   index_t NumSlices = (A.NumRows + EllSliceRows - 1) / EllSliceRows;
 #pragma omp parallel for schedule(dynamic, 1)
-  for (index_t Slice = 0; Slice < NumSlices; ++Slice) {
-    index_t SliceBegin = Slice * EllSliceRows;
-    index_t SliceEnd = std::min<index_t>(SliceBegin + EllSliceRows, A.NumRows);
-    index_t SliceWidth = 0;
-    for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
-      SliceWidth = std::max(SliceWidth, RowLen[Row]);
-    for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
-      Y[Row] = T(0);
-    for (index_t C = 0; C < SliceWidth; ++C) {
-      const T *SMAT_RESTRICT Data =
-          A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-      const index_t *SMAT_RESTRICT Idx =
-          A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-      for (index_t Row = SliceBegin; Row < SliceEnd; ++Row)
-        Y[Row] += Data[Row] * X[Idx[Row]];
-    }
-  }
-}
-
-/// Column-major pass with gather prefetch on the X stream.
-template <typename T>
-void ellPrefetch(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
-                 T *SMAT_RESTRICT Y) {
-  ellZero(Y, A.NumRows);
-  constexpr index_t Distance = 64;
-  for (index_t C = 0; C < A.Width; ++C) {
-    const T *SMAT_RESTRICT Data =
-        A.Data.data() + static_cast<std::size_t>(C) * A.NumRows;
-    const index_t *SMAT_RESTRICT Idx =
-        A.Indices.data() + static_cast<std::size_t>(C) * A.NumRows;
-    for (index_t Row = 0; Row < A.NumRows; ++Row) {
-      if (Row + Distance < A.NumRows)
-        __builtin_prefetch(&X[Idx[Row + Distance]], 0, 0);
-      Y[Row] += Data[Row] * X[Idx[Row]];
-    }
-  }
+  for (index_t Slice = 0; Slice < NumSlices; ++Slice)
+    ellSlice(A, X, Y, Slice);
 }
 
 //===----------------------------------------------------------------------===//
@@ -222,7 +144,7 @@ void ellPrefetch(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
 //===----------------------------------------------------------------------===//
 
 /// Strategy-free batched ELL: column-major packed sweep, runtime-K inner
-/// loop, mirroring ellBasic. Padding entries multiply by zero harmlessly.
+/// loop, mirroring ell_basic. Padding entries multiply by zero harmlessly.
 template <typename T>
 void ellSpmmBasic(const EllMatrix<T> &A, const T *SMAT_RESTRICT X,
                   T *SMAT_RESTRICT Y, index_t K) {
@@ -361,13 +283,12 @@ void ellSpmmSlicedOmp(const EllMatrix<T> &A, const T *X, T *Y, index_t K) {
 template <typename T>
 std::vector<smat::Kernel<smat::EllKernelFn<T>>> smat::makeEllKernels() {
   return {
-      {"ell_basic", OptNone, &ellBasic<T>},
-      {"ell_simd", OptSimd, &ellSimd<T>},
+      {"ell_basic", OptNone, &ellSweep<T, false, false>},
+      {"ell_simd", OptSimd, &ellSweep<T, true, false>},
       {"ell_rowmajor", OptInterchange, &ellRowMajor<T>},
-      {"ell_unroll2", OptUnroll, &ellUnroll2<T>},
+      {"ell_unroll2", OptUnroll, &ellSweep<T, false, true>},
       {"ell_omp_rows", OptThreads | OptInterchange, &ellOmpRows<T>},
-      {"ell_simd_unroll2", OptSimd | OptUnroll, &ellSimdUnroll2<T>},
-      {"ell_prefetch", OptPrefetch, &ellPrefetch<T>},
+      {"ell_simd_unroll2", OptSimd | OptUnroll, &ellSweep<T, true, true>},
       {"ell_sliced", OptLoadBalance, &ellSliced<T>, PrecondRowLengths},
       {"ell_sliced_omp", OptThreads | OptLoadBalance, &ellSlicedOmp<T>,
        PrecondRowLengths},

@@ -36,7 +36,9 @@ enum OptStrategy : unsigned {
   OptNone = 0,
   OptUnroll = 1u << 0,      ///< Inner-loop unrolling / multiple accumulators.
   OptSimd = 1u << 1,        ///< Explicit or pragma-driven vectorization.
-  OptPrefetch = 1u << 2,    ///< Software prefetching of index/value streams.
+  OptPrefetch = 1u << 2,    ///< Software prefetching. No kernel carries it
+                            ///< (every prefetch variant lost on the census);
+                            ///< the bit keeps its StrategyScores slot.
   OptBranchFree = 1u << 3,  ///< Branch elimination / store deferral.
   OptThreads = 1u << 4,     ///< OpenMP multi-threading.
   OptDynSchedule = 1u << 5, ///< Dynamic (load-balanced) thread schedule.

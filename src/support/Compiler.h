@@ -37,6 +37,21 @@ namespace smat {
   std::abort();
 }
 
+/// Runs Body(I) for I in [Begin, End): as an `omp simd` loop when \p Simd is
+/// set, as a plain loop left to the auto-vectorizer otherwise. Lets one
+/// kernel template carry explicit vectorization as a compile-time knob.
+template <bool Simd, typename IndexT, typename BodyT>
+SMAT_ALWAYS_INLINE void simdLoop(IndexT Begin, IndexT End, BodyT Body) {
+  if constexpr (Simd) {
+#pragma omp simd
+    for (IndexT I = Begin; I < End; ++I)
+      Body(I);
+  } else {
+    for (IndexT I = Begin; I < End; ++I)
+      Body(I);
+  }
+}
+
 } // namespace smat
 
 #endif // SMAT_SUPPORT_COMPILER_H

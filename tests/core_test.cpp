@@ -664,6 +664,9 @@ TEST(KernelResolutionTest, ModelKernelLinesResolveByName) {
       {FormatKind::CSR, "kernel CSR 99 csr_basic", 1, "csr_basic"},
       {FormatKind::CSR, "kernel CSR 0 csr_omp_unroll", 1, "csr_omp_unroll"},
       {FormatKind::ELL, "kernel ELL 1 ell_gone", 1, "ell_basic"},
+      // Names of kernels the library has since deleted.
+      {FormatKind::CSR, "kernel CSR 3 csr_prefetch", 1, "csr_basic"},
+      {FormatKind::BSR, "kernel BSR 4 bsr_simd", 1, "bsr_basic"},
       {FormatKind::CSR, "kernel_spmm 8 CSR 99 csr_spmm_basic", 8,
        "csr_spmm_basic"},
       {FormatKind::CSR, "kernel_spmm 8 CSR 0 csr_spmm_omp_rowsplit", 8,

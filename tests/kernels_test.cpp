@@ -202,7 +202,38 @@ TEST_P(KernelCorrectness, FloatKernelsMatchReference) {
   for (const auto &K : kernelTable<float>().Coo) {
     std::vector<float> Y(static_cast<std::size_t>(A.NumRows), -7.0f);
     K.Fn(Coo, X.data(), Y.data());
+    SCOPED_TRACE(std::string(K.Name) + " on " + Name);
     expectVectorsNear(Expected, Y, 1e-4);
+  }
+  DiaMatrix<float> Dia;
+  if (csrToDia(A, Dia, /*MaxFillRatio=*/0.0, /*MaxDiags=*/0)) {
+    for (const auto &K : kernelTable<float>().Dia) {
+      std::vector<float> Y(static_cast<std::size_t>(A.NumRows), -7.0f);
+      K.Fn(Dia, X.data(), Y.data());
+      SCOPED_TRACE(std::string(K.Name) + " on " + Name);
+      expectVectorsNear(Expected, Y, 1e-4);
+    }
+  }
+  EllMatrix<float> Ell;
+  if (csrToEll(A, Ell, /*MaxFillRatio=*/0.0)) {
+    for (const auto &K : kernelTable<float>().Ell) {
+      std::vector<float> Y(static_cast<std::size_t>(A.NumRows), -7.0f);
+      K.Fn(Ell, X.data(), Y.data());
+      SCOPED_TRACE(std::string(K.Name) + " on " + Name);
+      expectVectorsNear(Expected, Y, 1e-4);
+    }
+  }
+  for (index_t BlockSize : {2, 3, 4, 8}) {
+    BsrMatrix<float> Bsr;
+    if (!csrToBsr(A, Bsr, BlockSize, /*MaxFillRatio=*/0.0))
+      continue;
+    for (const auto &K : kernelTable<float>().Bsr) {
+      std::vector<float> Y(static_cast<std::size_t>(A.NumRows), -7.0f);
+      K.Fn(Bsr, X.data(), Y.data());
+      SCOPED_TRACE(std::string(K.Name) + " b=" + std::to_string(BlockSize) +
+                   " on " + Name);
+      expectVectorsNear(Expected, Y, 1e-4);
+    }
   }
 }
 
@@ -343,11 +374,37 @@ TEST_P(KernelCorrectness, FloatSpmmKernelsMatchReference) {
             Yc[static_cast<std::size_t>(R)];
     }
   }
-  for (const auto &M : kernelTable<float>().CsrSpmm) {
+  const auto &Kernels = kernelTable<float>();
+  for (const auto &M : Kernels.CsrSpmm) {
     std::vector<float> Y(Expected.size(), -7.0f);
     M.Fn(A, X.data(), Y.data(), K);
     SCOPED_TRACE(std::string(M.Name) + " on " + Name);
     expectVectorsNear(Expected, Y, 1e-4f);
+  }
+  CooMatrix<float> Coo = csrToCoo(A);
+  for (const auto &M : Kernels.CooSpmm) {
+    std::vector<float> Y(Expected.size(), -7.0f);
+    M.Fn(Coo, X.data(), Y.data(), K);
+    SCOPED_TRACE(std::string(M.Name) + " on " + Name);
+    expectVectorsNear(Expected, Y, 1e-4f);
+  }
+  DiaMatrix<float> Dia;
+  if (csrToDia(A, Dia, /*MaxFillRatio=*/0.0, /*MaxDiags=*/0)) {
+    for (const auto &M : Kernels.DiaSpmm) {
+      std::vector<float> Y(Expected.size(), -7.0f);
+      M.Fn(Dia, X.data(), Y.data(), K);
+      SCOPED_TRACE(std::string(M.Name) + " on " + Name);
+      expectVectorsNear(Expected, Y, 1e-4f);
+    }
+  }
+  EllMatrix<float> Ell;
+  if (csrToEll(A, Ell, /*MaxFillRatio=*/0.0)) {
+    for (const auto &M : Kernels.EllSpmm) {
+      std::vector<float> Y(Expected.size(), -7.0f);
+      M.Fn(Ell, X.data(), Y.data(), K);
+      SCOPED_TRACE(std::string(M.Name) + " on " + Name);
+      expectVectorsNear(Expected, Y, 1e-4f);
+    }
   }
 }
 
