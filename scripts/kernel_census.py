@@ -2,8 +2,7 @@
 """Summarize perfbench kernel-census CSVs and flag kernels that never win.
 
 Usage:
-    kernel_census.py CENSUS.csv [CENSUS.csv ...] [--within 0.05]
-                     [--max-share 0.01]
+    kernel_census.py CENSUS.csv [CENSUS.csv ...]
 
 Each input is one `<workload>-seed<N>-census.csv` written by a traced
 perfbench run (`python3 perfbench/run.py --trace 1`), with the columns
@@ -14,11 +13,11 @@ seeds gives two cells.
 
 For each (kind, kernel) the table prints:
   cells     the number of cells the kernel was timed in;
-  within    the share of those cells in which it came within --within of
-            the fastest kernel of its format (gflops >= (1 - within) * best);
+  within    the share of those cells in which it came within WITHIN (5%) of
+            the fastest kernel of its format (gflops >= (1 - WITHIN) * best);
   vs_basic  the median ratio of its gflops to the format's basic kernel in
             the same cell (the `<fmt>_basic` / `<fmt>_spmm_basic` entry);
-  delete    "yes" when `within` is at most --max-share: the kernel wins no
+  delete    "yes" when `within` is at most MAX_SHARE (1%): the kernel wins no
             more cells than noise would hand it. The basic kernels are the
             registry's precondition-free fallback and are never flagged.
 
@@ -32,6 +31,10 @@ import sys
 
 COLUMNS = ("operand", "kind", "kernel", "threads", "gflops")
 FORMATS = ("csr", "coo", "dia", "ell", "bsr")
+# The deletion rule (DESIGN.md section 17): a kernel within WITHIN of its
+# format's best in at most MAX_SHARE of its cells is flagged for deletion.
+WITHIN = 0.05
+MAX_SHARE = 0.01
 
 
 def format_of(kernel):
@@ -75,7 +78,7 @@ def is_basic(kernel):
     return kernel.endswith("_basic")
 
 
-def summarize(cells, order, within, max_share):
+def summarize(cells, order):
     stats = {key: {"cells": 0, "near": 0, "ratios": []} for key in order}
     for (_, _, kind, _, _), timings in cells.items():
         best = max(timings.values())
@@ -85,7 +88,7 @@ def summarize(cells, order, within, max_share):
         for kernel, gflops in timings.items():
             s = stats[(kind, kernel)]
             s["cells"] += 1
-            if gflops >= (1.0 - within) * best:
+            if gflops >= (1.0 - WITHIN) * best:
                 s["near"] += 1
             if basic > 0.0:
                 s["ratios"].append(gflops / basic)
@@ -94,7 +97,7 @@ def summarize(cells, order, within, max_share):
         s = stats[(kind, kernel)]
         share = s["near"] / s["cells"] if s["cells"] else 0.0
         ratio = statistics.median(s["ratios"]) if s["ratios"] else float("nan")
-        delete = not is_basic(kernel) and s["cells"] > 0 and share <= max_share
+        delete = not is_basic(kernel) and s["cells"] > 0 and share <= MAX_SHARE
         rows.append((kind, kernel, s["cells"], share, ratio, delete))
     return rows
 
@@ -102,18 +105,12 @@ def summarize(cells, order, within, max_share):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("csv", nargs="+", help="perfbench *-census.csv files")
-    ap.add_argument("--within", type=float, default=0.05,
-                    help="distance from the format's best that counts as "
-                         "winning (default 0.05)")
-    ap.add_argument("--max-share", type=float, default=0.01,
-                    help="flag kernels winning at most this share of their "
-                         "cells (default 0.01)")
     args = ap.parse_args()
     cells, order = load(args.csv)
-    rows = summarize(cells, order, args.within, args.max_share)
+    rows = summarize(cells, order)
     print(f"{len(args.csv)} files, {len(cells)} cells; within "
-          f"{args.within:.0%} of the format's best, delete at <= "
-          f"{args.max_share:.0%} of cells")
+          f"{WITHIN:.0%} of the format's best, delete at <= "
+          f"{MAX_SHARE:.0%} of cells")
     print()
     print("| kind | kernel | cells | within | vs_basic | delete |")
     print("|---|---|---:|---:|---:|---|")
